@@ -6,23 +6,11 @@ open Oregami
 
 let read_source = Service.load_program
 
-let parse_binding s =
-  match String.split_on_char '=' s with
-  | [ k; v ] -> begin
-    match int_of_string_opt v with
-    | Some v -> Ok (k, v)
-    | None -> Error (Printf.sprintf "bad parameter value in %S" s)
-  end
-  | _ -> Error (Printf.sprintf "bad parameter %S (want name=value)" s)
-
-let collect_bindings raw =
-  List.fold_left
-    (fun acc s ->
-      match (acc, parse_binding s) with
-      | Ok l, Ok kv -> Ok (kv :: l)
-      | (Error _ as e), _ -> e
-      | _, (Error _ as e) -> (match e with Ok _ -> assert false | Error m -> Error m))
-    (Ok []) raw
+(* -p NAME=VALUE pairs read like a serve line's parameter bindings *)
+let collect_bindings params =
+  Service.fold_options ~keys:[] ~set:(fun _ bs -> bs)
+    ~other:(fun k v bs -> Result.map (fun b -> b :: bs) (Service.binding k v))
+    [] params
 
 let die ?(code = 1) m =
   Printf.eprintf "oregami: %s\n" m;
@@ -50,15 +38,6 @@ let topo_arg =
   Arg.(required & opt (some string) None & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
 let target_topology topo = or_die (Topology.of_string topo)
-
-let routing_arg =
-  let doc =
-    "Routing algorithm: $(b,mm-route) (per-message MM-Route), $(b,oblivious) \
-     (the topology's deterministic single-path scheme), $(b,coarse) \
-     (traffic-aggregated MM-Route for large graphs), or $(b,auto) (the \
-     default: mm-route up to the multilevel threshold, coarse above)."
-  in
-  Arg.(value & opt string "auto" & info [ "routing" ] ~docv:"ALG" ~doc)
 
 let route_jobs_arg =
   let doc =
@@ -138,84 +117,44 @@ let compile ~input ~params =
   let source, bindings = load ~input ~params in
   or_die (Larcs.Compile.compile_source ~bindings source)
 
-let parse_routing = function
-  (* "mm" is the historical spelling; keep it as an alias *)
-  | "mm" | "mm-route" -> Ok Driver.Mm_route
-  | "oblivious" -> Ok Driver.Oblivious
-  | "coarse" -> Ok Driver.Coarse
-  | "auto" -> Ok Driver.Auto
-  | other ->
-    Error
-      (Printf.sprintf "unknown routing %S (valid: mm-route, oblivious, coarse, auto)"
-         other)
+(* The mapping-option flags, one per entry of the shared option table
+   (Service.option_keys).  Each given flag becomes the KEY=VALUE token a
+   serve line would carry, so both front ends parse, validate and name
+   errors identically; the caller or_die's the result (exit 1). *)
+let options_arg keys =
+  let flag acc d =
+    let flag_info =
+      Arg.info [ d.Service.o_flag ] ~docv:d.Service.o_docv ~doc:d.Service.o_doc
+    in
+    let value =
+      if d.Service.o_repeatable then
+        Term.(
+          const (function [] -> None | vs -> Some (String.concat "," vs))
+          $ Arg.(value & opt_all string [] flag_info))
+      else Arg.(value & opt (some string) None flag_info)
+    in
+    let add toks = function
+      | None -> toks
+      | Some v -> toks @ [ d.Service.o_key ^ "=" ^ v ]
+    in
+    Term.(const add $ acc $ value)
+  in
+  let parse toks =
+    Service.fold_options ~keys
+      ~set:(fun s o -> Service.set_options o s)
+      ~other:(fun k _ _ -> Error (Printf.sprintf "unknown option %S" k))
+      Driver.default_options toks
+  in
+  Term.(const parse $ List.fold_left flag (const []) (Service.option_keys keys))
 
-let options_of ~routing ~only ~exclude =
-  let routing = or_die (parse_routing routing) in
-  { Driver.default_options with Driver.routing; Driver.only; Driver.exclude }
+let map_keys =
+  [ "fuel"; "deadline-ms"; "routing"; "only"; "exclude"; "multilevel-threshold" ]
+  @ Service.constraint_keys
 
-let mapping_of ~input ~params ~topo ~routing =
+let mapping_of ~input ~params ~topo ~options =
   let compiled = compile ~input ~params in
   let topology = target_topology topo in
-  let options = options_of ~routing ~only:[] ~exclude:[] in
-  (or_die (Driver.map_compiled ~options compiled topology), compiled)
-
-(* placement-constraint args (see Mapper.Constraints) *)
-let pin_arg =
-  let doc = "Pin a task to a processor, e.g. $(b,--pin 3=0).  Repeatable." in
-  Arg.(value & opt_all string [] & info [ "pin" ] ~docv:"TASK=PROC" ~doc)
-
-let forbid_arg =
-  let doc = "Forbid a task from a processor, e.g. $(b,--forbid 3=0).  Repeatable." in
-  Arg.(value & opt_all string [] & info [ "forbid" ] ~docv:"TASK=PROC" ~doc)
-
-let require_arg =
-  let doc =
-    "Require a task to land on a processor of this capability class (see the \
-     $(b,classes=) topology suffix), e.g. $(b,--require 3=mem).  Overrides \
-     the program's $(b,requires) annotation.  Repeatable."
-  in
-  Arg.(value & opt_all string [] & info [ "require" ] ~docv:"TASK=CLASS" ~doc)
-
-let skip_class_arg =
-  let doc =
-    "Exclude every processor of this capability class from placement (they \
-     still route traffic).  Repeatable."
-  in
-  Arg.(value & opt_all string [] & info [ "skip-class" ] ~docv:"CLASS" ~doc)
-
-let constraints_of ~pins ~forbids ~requires ~skip_classes =
-  let joined l = String.concat "," l in
-  {
-    Mapper.Constraints.pins = or_die (Mapper.Constraints.parse_pins (joined pins));
-    forbids = or_die (Mapper.Constraints.parse_forbids (joined forbids));
-    requires = or_die (Mapper.Constraints.parse_requires (joined requires));
-    skip_classes = List.filter (fun c -> c <> "") skip_classes;
-  }
-
-let multilevel_threshold_arg =
-  let doc =
-    "Task count beyond which the flat strategies stand aside for the \
-     multilevel coarsen/map/refine tier."
-  in
-  Arg.(value
-       & opt int Mapper.Multilevel.flat_sweet_spot
-       & info [ "multilevel-threshold" ] ~docv:"N" ~doc)
-
-(* budget / anytime args *)
-let fuel_arg =
-  let doc =
-    "Abstract work-unit budget for the whole pipeline run (deterministic \
-     across machines).  When it runs out the passes stop early and the best \
-     partial mapping is returned, tagged as degraded."
-  in
-  Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"UNITS" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Monotonic wall-clock deadline in milliseconds, measured from the start \
-     of the run.  Like $(b,--fuel), expiry yields the best partial mapping."
-  in
-  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+  (or_die (Driver.map_compiled ~options:(or_die options) compiled topology), compiled)
 
 let fallback_arg =
   let doc =
@@ -256,23 +195,20 @@ let analyze_cmd =
     Term.(const run $ input_arg $ params_arg)
 
 let map_cmd =
-  let run input params topo routing jobs only exclude explain kill_procs
-      kill_links fault_seed fuel deadline_ms fallback pins forbids requires
-      skip_classes multilevel_threshold =
+  let run input params topo jobs explain kill_procs kill_links fault_seed
+      fallback options =
     if jobs < 1 then die ~code:2 "--jobs must be at least 1";
     let topology = target_topology topo in
     let faults = fault_set ~kill_procs ~kill_links ~fault_seed topology in
     let topology, faults = degraded_target topology faults in
-    let constraints = constraints_of ~pins ~forbids ~requires ~skip_classes in
+    let options = or_die options in
+    let constraints = options.Driver.constraints in
     let options =
-      { (options_of ~routing ~only ~exclude) with
+      { options with
         Driver.jobs;
-        Driver.fuel;
-        Driver.deadline_ms;
         (* any budget implies the anytime contract: always answer *)
-        Driver.fallback = fallback || fuel <> None || deadline_ms <> None;
-        Driver.constraints;
-        Driver.multilevel_threshold;
+        Driver.fallback =
+          fallback || options.Driver.fuel <> None || options.Driver.deadline_ms <> None;
       }
     in
     let outcome =
@@ -328,17 +264,6 @@ let map_cmd =
         print_endline (Stats.to_sexp stats)
       end
   in
-  let only_arg =
-    Arg.(value & opt_all string []
-         & info [ "only" ] ~docv:"STRATEGY"
-             ~doc:"Compete only these registry strategies (repeatable); disables the \
-                   dispatch short-circuit so every named strategy is scored.")
-  in
-  let exclude_arg =
-    Arg.(value & opt_all string []
-         & info [ "exclude" ] ~docv:"STRATEGY"
-             ~doc:"Drop a registry strategy from the selection (repeatable).")
-  in
   let explain_arg =
     Arg.(value & flag
          & info [ "explain" ]
@@ -347,15 +272,13 @@ let map_cmd =
                    s-expression dump.")
   in
   Cmd.v (Cmd.info "map" ~doc:"Map a program onto a topology and report METRICS")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg
-          $ route_jobs_arg $ only_arg $ exclude_arg $ explain_arg
-          $ kill_procs_arg $ kill_links_arg $ fault_seed_arg $ fuel_arg
-          $ deadline_arg $ fallback_arg $ pin_arg $ forbid_arg $ require_arg
-          $ skip_class_arg $ multilevel_threshold_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ route_jobs_arg
+          $ explain_arg $ kill_procs_arg $ kill_links_arg $ fault_seed_arg
+          $ fallback_arg $ options_arg map_keys)
 
 let render_cmd =
-  let run input params topo routing svg_path =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options svg_path =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     match svg_path with
     | Some path ->
       Svg.save path (Svg.mapping m);
@@ -370,11 +293,11 @@ let render_cmd =
          & info [ "svg" ] ~docv:"FILE" ~doc:"Write an SVG rendering to FILE instead of ASCII.")
   in
   Cmd.v (Cmd.info "render" ~doc:"Render the mapping and link loads (ASCII or SVG)")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ svg_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ options_arg [ "routing" ] $ svg_arg)
 
 let routes_cmd =
-  let run input params topo routing phase timeline =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options phase timeline =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     print_endline (Render.phase_edges m phase);
     if timeline then begin
       print_newline ();
@@ -388,12 +311,12 @@ let routes_cmd =
     Arg.(value & flag & info [ "timeline" ] ~doc:"Also print the per-channel busy timeline.")
   in
   Cmd.v (Cmd.info "routes" ~doc:"Show the routed edges of one communication phase")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ phase_arg
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ options_arg [ "routing" ] $ phase_arg
           $ timeline_arg)
 
 let simulate_cmd =
-  let run input params topo routing fault_at kill_procs kill_links fault_seed =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options fault_at kill_procs kill_links fault_seed =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     match fault_at with
     | None ->
       let r = Netsim.run m in
@@ -434,12 +357,12 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the store-and-forward network simulation of the mapping")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ fault_at_arg
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ options_arg [ "routing" ] $ fault_at_arg
           $ kill_procs_arg $ kill_links_arg $ fault_seed_arg)
 
 let aggregate_cmd =
-  let run input params topo routing phase =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options phase =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     match Oregami.Mapper.Aggregate.replan_phase m ~phase with
     | Error e -> or_die (Error e)
     | Ok m2 ->
@@ -466,7 +389,7 @@ let aggregate_cmd =
   Cmd.v
     (Cmd.info "aggregate"
        ~doc:"Re-plan an all-to-root phase as a spanning-tree reduction (paper section 6)")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ phase_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ options_arg [ "routing" ] $ phase_arg)
 
 let remap_cmd =
   let run input params topo =
@@ -504,18 +427,13 @@ remapping %s
     Term.(const run $ input_arg $ params_arg $ topo_arg)
 
 let repair_cmd =
-  let run input params topo kill_procs kill_links fault_seed pins forbids
-      requires skip_classes =
+  let run input params topo kill_procs kill_links fault_seed options =
     let compiled = compile ~input ~params in
     let topology = target_topology topo in
     let faults = fault_set ~kill_procs ~kill_links ~fault_seed topology in
     if Faults.is_empty faults then
       die "nothing to repair (give --kill-procs and/or --kill-links)";
-    let options =
-      { Driver.default_options with
-        Driver.constraints = constraints_of ~pins ~forbids ~requires ~skip_classes;
-      }
-    in
+    let options = or_die options in
     let r =
       or_die
         (Remap.recover ~options ~compiled compiled.Larcs.Compile.graph topology
@@ -556,8 +474,7 @@ let repair_cmd =
        ~doc:"Recover an existing mapping from processor/link failures and compare \
              minimum-disruption repair against a from-scratch remap")
     Term.(const run $ input_arg $ params_arg $ topo_arg $ kill_procs_arg
-          $ kill_links_arg $ fault_seed_arg $ pin_arg $ forbid_arg $ require_arg
-          $ skip_class_arg)
+          $ kill_links_arg $ fault_seed_arg $ options_arg Service.constraint_keys)
 
 let systolic_cmd =
   let run spec max_pes =
@@ -648,12 +565,13 @@ let jobs_arg =
   Arg.(value
        & opt int (Prelude.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Serve the batch on $(docv) domains sharing compiled-program \
-                 and topology caches (results still come out in request \
-                 order, byte-identical to $(b,--jobs 1) for fixed seeds, \
-                 wall-clock aside).  $(b,--jobs 1) streams request by \
-                 request with no caches.  Defaults to the number of \
-                 available cores.")
+           ~doc:"Serve the batch on $(docv) domains.  Every width shares \
+                 one LRU-bounded cache of compiled programs and topologies, \
+                 and results come out in request order, byte-identical \
+                 across widths for fixed seeds (wall-clock aside).  \
+                 $(b,--jobs 1) answers each request as soon as its line is \
+                 read; wider pools read to end of input first.  Defaults \
+                 to the number of available cores.")
 
 let serve_cmd =
   let run sexp jobs = serve_batch None sexp jobs in
@@ -719,8 +637,10 @@ let daemon_cmd =
     | exception Unix.Unix_error (e, fn, arg) ->
       die (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
   in
+  (* the flag defaults are the library's; the listen address is not read *)
+  let defaults = Daemon.default_config (Daemon.Tcp 0) in
   let queue_bound_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt int defaults.Daemon.d_queue_bound
          & info [ "queue-bound" ] ~docv:"N"
              ~doc:"Admission queue bound: requests beyond $(docv) waiting \
                    for a worker are shed with a named $(b,overload:) error \
@@ -728,7 +648,7 @@ let daemon_cmd =
                    immediately.")
   in
   let max_inflight_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt int defaults.Daemon.d_max_inflight
          & info [ "max-inflight" ] ~docv:"N"
              ~doc:"Per-client cap on unanswered requests; excess requests \
                    are shed by name.")
@@ -755,7 +675,7 @@ let daemon_cmd =
                    $(b,timeout:) without running.")
   in
   let cache_bound_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt int (Option.value defaults.Daemon.d_cache_bound ~default:0)
          & info [ "cache-bound" ] ~docv:"N"
              ~doc:"LRU bound on each shared artifact cache (compiled \
                    programs, topologies).  $(b,0) means unbounded.")
@@ -840,22 +760,10 @@ let cluster_cmd =
   let run topo trace chaos explain queue_bound max_retries defrag =
     let machine = target_topology topo in
     let events =
-      if String.length trace >= 6 && String.sub trace 0 6 = "synth:" then begin
-        let rest = String.sub trace 6 (String.length trace - 6) in
-        match String.split_on_char ':' rest with
-        | [ n ] | [ n; "" ] -> begin
-          match int_of_string_opt n with
-          | Some n when n > 0 -> Cluster.synth_trace ~events:n ~seed:1 machine
-          | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S" trace)
-        end
-        | [ n; seed ] -> begin
-          match (int_of_string_opt n, int_of_string_opt seed) with
-          | Some n, Some seed when n > 0 ->
-            Cluster.synth_trace ~events:n ~seed machine
-          | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S" trace)
-        end
-        | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S (want synth:EVENTS[:SEED])" trace)
-      end
+      if String.starts_with ~prefix:"synth:" trace then
+        match Cluster.synth_trace_of_string trace with
+        | Ok (events, seed) -> Cluster.synth_trace ~events ~seed machine
+        | Error m -> die ~code:2 m
       else or_die (Cluster.load_trace trace)
     in
     let chaos = match chaos with None -> [] | Some s -> or_die (Cluster.parse_chaos s) in

@@ -952,72 +952,49 @@ let parse_chaos s =
        (Ok [])
   |> Result.map List.rev
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun tok -> tok <> "")
-
-let parse_kv tok =
-  match String.index_opt tok '=' with
-  | None -> None
-  | Some eq ->
-    Some
-      ( String.sub tok 0 eq,
-        String.sub tok (eq + 1) (String.length tok - eq - 1) )
-
+(* arrivals read the placement-constraint keys through the serve
+   codec, plus their own [procs]; anything else binds a parameter *)
 let parse_arrival name program opts =
-  List.fold_left
-    (fun acc tok ->
-      let* ar = acc in
-      match parse_kv tok with
-      | None -> Error (Printf.sprintf "bad option %S (want key=value)" tok)
-      | Some (k, v) -> (
-        let cons = ar.ar_constraints in
-        match k with
-        | "procs" -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> Ok { ar with ar_procs = Some n }
-          | _ -> Error (Printf.sprintf "bad procs %S" v))
-        | "pin" ->
-          let* pins = Constraints.parse_pins v in
-          Ok { ar with ar_constraints = { cons with Constraints.pins } }
-        | "forbid" ->
-          let* forbids = Constraints.parse_forbids v in
-          Ok { ar with ar_constraints = { cons with Constraints.forbids } }
-        | "require" ->
-          let* requires = Constraints.parse_requires v in
-          Ok { ar with ar_constraints = { cons with Constraints.requires } }
-        | "skip" ->
-          let skip_classes = String.split_on_char ',' v in
-          Ok { ar with ar_constraints = { cons with Constraints.skip_classes } }
-        | _ -> (
-          match int_of_string_opt v with
-          | Some n -> Ok { ar with ar_bindings = (k, n) :: ar.ar_bindings }
-          | None -> Error (Printf.sprintf "bad parameter %S (want an integer)" tok))))
-    (Ok
-       {
-         ar_name = name;
-         ar_program = program;
-         ar_procs = None;
-         ar_bindings = [];
-         ar_constraints = Constraints.none;
-       })
+  Service.fold_options ~keys:Service.constraint_keys
+    ~set:(fun s ar ->
+      match s with
+      | Service.Constraint f -> { ar with ar_constraints = f ar.ar_constraints }
+      | Service.Options _ | Service.Retries _ -> ar)
+    ~other:(fun k v ar ->
+      match k with
+      | "procs" -> (
+        match int_of_string_opt v with
+        | Some n when n > 0 -> Ok { ar with ar_procs = Some n }
+        | _ -> Error (Printf.sprintf "bad procs %S" v))
+      | _ ->
+        let* b = Service.binding k v in
+        Ok { ar with ar_bindings = b :: ar.ar_bindings })
+    {
+      ar_name = name;
+      ar_program = program;
+      ar_procs = None;
+      ar_bindings = [];
+      ar_constraints = Constraints.none;
+    }
     opts
 
 let parse_fault_opts verb opts =
   let* procs, links =
-    List.fold_left
-      (fun acc tok ->
-        let* procs, links = acc in
-        match parse_kv tok with
-        | Some ("procs", v) ->
+    Service.fold_options ~keys:[]
+      ~set:(fun _ acc -> acc)
+      ~other:(fun k v (procs, links) ->
+        match k with
+        | "procs" ->
           let* p = Faults.parse_ids v in
-          Ok (procs @ p, links)
-        | Some ("links", v) ->
+          Ok (p, links)
+        | "links" ->
           let* l = Faults.parse_ids v in
-          Ok (procs, links @ l)
+          Ok (procs, l)
         | _ ->
-          Error (Printf.sprintf "bad %s option %S (want procs=IDS or links=IDS)" verb tok))
-      (Ok ([], []))
-      opts
+          Error
+            (Printf.sprintf "bad %s option %S (want procs=IDS or links=IDS)" verb
+               (k ^ "=" ^ v)))
+      ([], []) opts
   in
   if procs = [] && links = [] then
     Error (Printf.sprintf "%s needs procs=IDS and/or links=IDS" verb)
@@ -1029,7 +1006,7 @@ let parse_trace_line lineno line =
   if line = "" || line.[0] = '#' then Ok None
   else
     Result.map_error at_line
-      (match tokens line with
+      (match Service.tokens line with
       | "arrive" :: name :: program :: opts ->
         Result.map (fun ar -> Some (Arrive ar)) (parse_arrival name program opts)
       | [ "depart"; name ] -> Ok (Some (Depart name))
@@ -1088,3 +1065,17 @@ let synth_trace ~events ~seed topo =
             ar_constraints = Constraints.none;
           }
       end)
+
+(* the one reading of [synth:EVENTS[:SEED]], shared by [oregami cluster]
+   and the daemon's [cluster] verb; an empty seed ([synth:5:]) is the
+   default seed, like an absent one *)
+let synth_trace_of_string s =
+  let events, seed =
+    match String.split_on_char ':' s with
+    | [ "synth"; n ] | [ "synth"; n; "" ] -> (int_of_string_opt n, Some 1)
+    | [ "synth"; n; seed ] -> (int_of_string_opt n, int_of_string_opt seed)
+    | _ -> (None, None)
+  in
+  match (events, seed) with
+  | Some n, Some seed when n > 0 -> Ok (n, seed)
+  | _ -> Error (Printf.sprintf "bad synth trace %S (want synth:EVENTS[:SEED])" s)

@@ -150,7 +150,10 @@ val parse_chaos : string -> ((int * event) list, string) result
 
 val parse_trace_line : int -> string -> (event option, string) result
 (** One trace-file line ([lineno] for error messages), [Ok None] for
-    blank/comment lines.  Grammar:
+    blank/comment lines.  Tokens split on spaces and tabs, and
+    [arrive] options go through the serve option codec
+    ({!Service.fold_options}): the same [pin]/[forbid]/[require]/[skip]
+    parsers and error texts, and a repeated key is an error.  Grammar:
     {v arrive JOB PROGRAM [procs=N] [pin=..] [forbid=..] [require=..] [skip=..] [key=value..]
 depart JOB
 kill [procs=IDS] [links=IDS]
@@ -165,3 +168,9 @@ val synth_trace :
     (grids, rings, trees, R-MATs of 8–40 tasks) arrive, run a while
     and depart; ~2 arrivals per departure early on, converging to
     balance.  Deterministic for a given seed and machine. *)
+
+val synth_trace_of_string : string -> (int * int, string) result
+(** [synth:EVENTS[:SEED]] as [(events, seed)]; the seed defaults to 1
+    when absent or empty ([synth:5:]), and [EVENTS] must be positive.
+    The one parser behind [oregami cluster] and the daemon's [cluster]
+    verb. *)

@@ -42,7 +42,7 @@ let default_config listen =
     d_fuel_cap = None;
     d_deadline_cap_ms = None;
     d_timeout_ms = None;
-    d_cache_bound = Some 64;
+    d_cache_bound = Some Service.default_cache_bound;
     d_format = Service.Tsv;
     d_backoff = Service.default_backoff;
   }
@@ -239,24 +239,6 @@ let stats_prometheus t =
 (* ------------------------------------------------------------------ *)
 (* the worker side                                                    *)
 
-(* an answered-without-running outcome (reject, timeout): same shape
-   as a mapping error so every client sees one result line per
-   request, whatever happened to it *)
-let refusal ~id ~program ~topology msg =
-  {
-    Service.r_id = id;
-    r_program = program;
-    r_topology = topology;
-    r_ok = false;
-    r_strategy = "-";
-    r_degradation = None;
-    r_completion = None;
-    r_elapsed_ms = 0.0;
-    r_attempts = 0;
-    r_fuel_used = 0;
-    r_error = msg;
-  }
-
 (* a daemon-driven cluster trace is capped so one request line cannot
    pin a worker domain for minutes *)
 let cluster_max_events = 500
@@ -266,17 +248,7 @@ let cluster_max_events = 500
 let run_cluster ~jc_topo ~jc_trace ~jc_chaos =
   let ( let* ) = Result.bind in
   let* machine = Oregami_topology.Topology.of_string jc_topo in
-  let* events, seed =
-    if String.length jc_trace >= 6 && String.sub jc_trace 0 6 = "synth:" then
-      let rest = String.sub jc_trace 6 (String.length jc_trace - 6) in
-      match
-        String.split_on_char ':' rest |> List.map int_of_string_opt
-      with
-      | [ Some n ] when n > 0 -> Ok (n, 1)
-      | [ Some n; Some s ] when n > 0 -> Ok (n, s)
-      | _ -> Error (Printf.sprintf "bad trace %S (want synth:EVENTS[:SEED])" jc_trace)
-    else Error (Printf.sprintf "bad trace %S (want synth:EVENTS[:SEED])" jc_trace)
-  in
+  let* events, seed = Cluster.synth_trace_of_string jc_trace in
   let* () =
     if events > cluster_max_events then
       Error (Printf.sprintf "trace of %d events exceeds cap %d" events cluster_max_events)
@@ -310,7 +282,7 @@ let run_job t job =
       | Ok line -> line
       | Error e ->
         Service.render t.cfg.d_format
-          (refusal ~id:jc_id ~program:"cluster" ~topology:jc_topo
+          (Service.refused ~id:jc_id ~program:"cluster" ~topology:jc_topo
              ("cluster: " ^ e))
     in
     record_latency t (Clock.elapsed_ms job.j_admit);
@@ -323,24 +295,17 @@ let run_job t job =
     | Jsleep (id, ms) ->
       Unix.sleepf (ms /. 1e3);
       {
-        Service.r_id = id;
-        r_program = "sleep";
-        r_topology = Printf.sprintf "%.0f" ms;
-        r_ok = true;
-        r_strategy = "-";
-        r_degradation = None;
-        r_completion = None;
+        (Service.refused ~id ~program:"sleep" ~topology:(Printf.sprintf "%.0f" ms) "") with
+        Service.r_ok = true;
         r_elapsed_ms = Clock.elapsed_ms job.j_admit;
         r_attempts = 1;
-        r_fuel_used = 0;
-        r_error = "";
       }
     | Jrun req -> begin
       let waited_ms = Clock.elapsed_ms job.j_admit in
       match t.cfg.d_timeout_ms with
       | Some tmo when waited_ms >= tmo ->
         (* dead on arrival: queueing ate the whole budget *)
-        refusal ~id:req.Service.rq_id ~program:req.Service.rq_program
+        Service.refused ~id:req.Service.rq_id ~program:req.Service.rq_program
           ~topology:req.Service.rq_topology
           (Printf.sprintf "timeout: queued %.0f ms (timeout %.0f ms)"
              waited_ms tmo)
@@ -409,7 +374,7 @@ let refuse t cl ~shed ~id ~program ~topology msg =
   Mutex.lock t.lock;
   if shed then t.shed <- t.shed + 1 else t.quota_rejects <- t.quota_rejects + 1;
   Mutex.unlock t.lock;
-  send cl (Service.render t.cfg.d_format (refusal ~id ~program ~topology msg))
+  send cl (Service.render t.cfg.d_format (Service.refused ~id ~program ~topology msg))
 
 let enqueue t cl ~id ~program ~topology kind =
   let cfg = t.cfg in
@@ -471,10 +436,7 @@ let reader t cl =
      let quit = ref false in
      while not !quit do
        let line = input_line ic in
-       match
-         String.split_on_char ' ' (String.trim line)
-         |> List.filter (fun s -> s <> "")
-       with
+       match Service.tokens line with
        | [ "quit" ] -> quit := true
        | [ "ping" ] -> send cl "pong"
        | [ "stats" ] | [ "stats"; "--format"; "sexp" ] -> send cl (stats_line t)

@@ -71,164 +71,232 @@ let load_program path_or_workload =
   end
 
 (* ------------------------------------------------------------------ *)
-(* request parsing                                                    *)
+(* the option codec: one table shared by every front end              *)
 
+(* serve lines, daemon lines and cluster traces all split the same way:
+   on runs of spaces and tabs *)
 let tokens line =
   String.split_on_char '\t' line
   |> List.concat_map (String.split_on_char ' ')
   |> List.filter (fun t -> t <> "")
 
+type setting =
+  | Options of (Ctx.options -> Ctx.options)
+  | Constraint of (Constraints.spec -> Constraints.spec)
+  | Retries of int
+
+type option_key = {
+  o_key : string;
+  o_flag : string;
+  o_docv : string;
+  o_doc : string;
+  o_repeatable : bool;
+  o_parse : string -> (setting, string) result;
+}
+
+let non_negative what v =
+  match int_of_string_opt v with
+  | Some n when n >= 0 -> Ok n
+  | Some _ | None ->
+    Error (Printf.sprintf "%s wants a non-negative integer, got %S" what v)
+
+let names v = String.split_on_char ',' v |> List.filter (fun n -> n <> "")
+
+let key ?flag ?(repeatable = false) o_key ~docv ~doc o_parse =
+  {
+    o_key;
+    o_flag = Option.value flag ~default:o_key;
+    o_docv = docv;
+    o_doc = doc;
+    o_repeatable = repeatable;
+    o_parse;
+  }
+
+let option_table =
+  let ( let+ ) r f = Result.map f r in
+  let opts f = Ok (Options f) and cons f = Ok (Constraint f) in
+  [
+    key "fuel" ~docv:"UNITS"
+      ~doc:
+        "Abstract work-unit budget for the whole pipeline run (deterministic \
+         across machines).  When it runs out the passes stop early and the \
+         best partial mapping is returned, tagged as degraded."
+      (fun v ->
+        let+ n = non_negative "fuel" v in
+        Options (fun o -> { o with Ctx.fuel = Some n }));
+    key "deadline-ms" ~docv:"MS"
+      ~doc:
+        "Monotonic wall-clock deadline in milliseconds, measured from the \
+         start of the run.  Like $(b,--fuel), expiry yields the best partial \
+         mapping."
+      (fun v ->
+        match float_of_string_opt v with
+        | Some f when f >= 0.0 -> opts (fun o -> { o with Ctx.deadline_ms = Some f })
+        | Some _ | None ->
+          Error
+            (Printf.sprintf "deadline-ms wants a non-negative number, got %S" v));
+    key "retries" ~docv:"N"
+      ~doc:"Extra reduced-scope attempts after a failed or degraded one."
+      (fun v ->
+        let+ n = non_negative "retries" v in
+        Retries n);
+    key "seed" ~docv:"N" ~doc:"Seed for the mapping context's RNG."
+      (fun v ->
+        let+ seed = non_negative "seed" v in
+        Options (fun o -> { o with Ctx.seed }));
+    key "routing" ~docv:"ALG"
+      ~doc:
+        "Routing algorithm: $(b,mm-route) (per-message MM-Route), \
+         $(b,oblivious) (the topology's deterministic single-path scheme), \
+         $(b,coarse) (traffic-aggregated MM-Route for large graphs), or \
+         $(b,auto) (the default: mm-route up to the multilevel threshold, \
+         coarse above)."
+      (fun v ->
+        let+ routing =
+          match v with
+          (* "mm" is the historical spelling; keep it as an alias *)
+          | "mm" | "mm-route" -> Ok Ctx.Mm_route
+          | "oblivious" -> Ok Ctx.Oblivious
+          | "coarse" -> Ok Ctx.Coarse
+          | "auto" -> Ok Ctx.Auto
+          | other ->
+            Error
+              (Printf.sprintf
+                 "unknown routing %S (valid: mm-route, oblivious, coarse, auto)"
+                 other)
+        in
+        Options (fun o -> { o with Ctx.routing }));
+    key "only" ~repeatable:true ~docv:"STRATEGY"
+      ~doc:
+        "Compete only these registry strategies (repeatable); disables the \
+         dispatch short-circuit so every named strategy is scored."
+      (fun v -> opts (fun o -> { o with Ctx.only = names v }));
+    key "exclude" ~repeatable:true ~docv:"STRATEGY"
+      ~doc:"Drop a registry strategy from the selection (repeatable)."
+      (fun v -> opts (fun o -> { o with Ctx.exclude = names v }));
+    key "multilevel-threshold" ~docv:"N"
+      ~doc:
+        (Printf.sprintf
+           "Task count beyond which the flat strategies stand aside for the \
+            multilevel coarsen/map/refine tier (default %d)."
+           Ctx.default_options.Ctx.multilevel_threshold)
+      (fun v ->
+        let+ n = non_negative "multilevel-threshold" v in
+        Options (fun o -> { o with Ctx.multilevel_threshold = n }));
+    (* placement constraints; [:] separates inside values since [=]
+       already binds the key, e.g. pin=3:0,7:12 *)
+    key "pin" ~repeatable:true ~docv:"TASK=PROC"
+      ~doc:"Pin a task to a processor, e.g. $(b,--pin 3=0).  Repeatable."
+      (fun v ->
+        let+ pins = Constraints.parse_pins v in
+        Constraint (fun c -> { c with Constraints.pins }));
+    key "forbid" ~repeatable:true ~docv:"TASK=PROC"
+      ~doc:"Forbid a task from a processor, e.g. $(b,--forbid 3=0).  Repeatable."
+      (fun v ->
+        let+ forbids = Constraints.parse_forbids v in
+        Constraint (fun c -> { c with Constraints.forbids }));
+    key "require" ~repeatable:true ~docv:"TASK=CLASS"
+      ~doc:
+        "Require a task to land on a processor of this capability class (see \
+         the $(b,classes=) topology suffix), e.g. $(b,--require 3=mem).  \
+         Overrides the program's $(b,requires) annotation.  Repeatable."
+      (fun v ->
+        let+ requires = Constraints.parse_requires v in
+        Constraint (fun c -> { c with Constraints.requires }));
+    key "skip" ~flag:"skip-class" ~repeatable:true ~docv:"CLASS"
+      ~doc:
+        "Exclude every processor of this capability class from placement \
+         (they still route traffic).  Repeatable."
+      (fun v -> cons (fun c -> { c with Constraints.skip_classes = names v }));
+  ]
+
+let option_keys keys = List.filter (fun d -> List.mem d.o_key keys) option_table
+
+let constraint_keys = [ "pin"; "forbid"; "require"; "skip" ]
+
+let set_options o = function
+  | Options f -> f o
+  | Constraint f -> { o with Ctx.constraints = f o.Ctx.constraints }
+  | Retries _ -> o
+
+let binding k v =
+  match int_of_string_opt v with
+  | Some n -> Ok (k, n)
+  | None ->
+    Error (Printf.sprintf "bad parameter %S (want an integer value)" (k ^ "=" ^ v))
+
+let fold_options ~keys ~set ~other init toks =
+  let ( let* ) = Result.bind in
+  let step acc tok =
+    let* acc, seen = acc in
+    match String.index_opt tok '=' with
+    | None | Some 0 -> Error (Printf.sprintf "bad token %S (want key=value)" tok)
+    | Some i ->
+      let k = String.sub tok 0 i in
+      let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+      (* a repeated key is a typo (the second value would silently
+         win): fail loudly instead *)
+      if List.mem k seen then
+        Error (Printf.sprintf "duplicate key %S (each key may appear once)" k)
+      else
+        let* acc =
+          match List.find_opt (fun d -> d.o_key = k && List.mem k keys) option_table with
+          | Some d -> Result.map (fun s -> set s acc) (d.o_parse v)
+          | None -> other k v acc
+        in
+        Ok (acc, k :: seen)
+  in
+  Result.map fst (List.fold_left step (Ok (init, [])) toks)
+
+(* ------------------------------------------------------------------ *)
+(* request parsing                                                    *)
+
 let default_retries = 2
 
+let serve_keys = List.map (fun d -> d.o_key) option_table
+
 let parse_request ~id line =
-  let ( let* ) = Result.bind in
   match tokens line with
   | [] -> Ok None
   | t :: _ when t.[0] = '#' -> Ok None
   | [ _ ] -> Error "want: PROGRAM TOPOLOGY [key=value ...]"
   | program :: topology :: opts ->
-    let with_options req f = { req with rq_options = f req.rq_options } in
-    let* req, _seen =
-      List.fold_left
-        (fun acc tok ->
-          let* req, seen = acc in
-          match String.index_opt tok '=' with
-          | None | Some 0 ->
-            Error (Printf.sprintf "bad token %S (want key=value)" tok)
-          | Some i ->
-            let k = String.sub tok 0 i in
-            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-            (* a repeated key is a client typo (the second value would
-               silently win): fail loudly instead *)
-            let* () =
-              if List.mem k seen then
-                Error (Printf.sprintf "duplicate key %S (each key may appear once)" k)
-              else Ok ()
-            in
-            let seen = k :: seen in
-            let* req =
-            let non_negative what =
-              match int_of_string_opt v with
-              | Some n when n >= 0 -> Ok n
-              | Some _ | None ->
-                Error
-                  (Printf.sprintf "%s wants a non-negative integer, got %S"
-                     what v)
-            in
-            let names () =
-              String.split_on_char ',' v |> List.filter (fun n -> n <> "")
-            in
-            (match k with
-            | "fuel" ->
-              let* n = non_negative "fuel" in
-              Ok (with_options req (fun o -> { o with Ctx.fuel = Some n }))
-            | "deadline-ms" -> begin
-              match float_of_string_opt v with
-              | Some f when f >= 0.0 ->
-                Ok
-                  (with_options req (fun o ->
-                       { o with Ctx.deadline_ms = Some f }))
-              | Some _ | None ->
-                Error
-                  (Printf.sprintf
-                     "deadline-ms wants a non-negative number, got %S" v)
-            end
-            | "retries" ->
-              let* n = non_negative "retries" in
-              Ok { req with rq_retries = n }
-            | "seed" ->
-              let* n = non_negative "seed" in
-              Ok (with_options req (fun o -> { o with Ctx.seed = n }))
-            | "routing" -> begin
-              match v with
-              (* "mm" is the historical spelling; keep it as an alias *)
-              | "mm" | "mm-route" ->
-                Ok
-                  (with_options req (fun o -> { o with Ctx.routing = Ctx.Mm_route }))
-              | "oblivious" ->
-                Ok
-                  (with_options req (fun o ->
-                       { o with Ctx.routing = Ctx.Oblivious }))
-              | "coarse" ->
-                Ok
-                  (with_options req (fun o -> { o with Ctx.routing = Ctx.Coarse }))
-              | "auto" ->
-                Ok (with_options req (fun o -> { o with Ctx.routing = Ctx.Auto }))
-              | other ->
-                Error
-                  (Printf.sprintf
-                     "unknown routing %S (valid: mm-route, oblivious, coarse, \
-                      auto)"
-                     other)
-            end
-            | "only" ->
-              Ok (with_options req (fun o -> { o with Ctx.only = names () }))
-            | "exclude" ->
-              Ok (with_options req (fun o -> { o with Ctx.exclude = names () }))
-            | "multilevel-threshold" ->
-              let* n = non_negative "multilevel-threshold" in
-              Ok
-                (with_options req (fun o -> { o with Ctx.multilevel_threshold = n }))
-            (* placement constraints; [:] separates inside values since
-               [=] already binds the key, e.g. pin=3:0,7:12 *)
-            | "pin" ->
-              let* pins = Constraints.parse_pins v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.pins };
-                     }))
-            | "forbid" ->
-              let* forbids = Constraints.parse_forbids v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.forbids };
-                     }))
-            | "require" ->
-              let* requires = Constraints.parse_requires v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.requires };
-                     }))
-            | "skip" ->
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.skip_classes = names () };
-                     }))
-            | _ -> begin
-              (* anything else is a program parameter binding *)
-              match int_of_string_opt v with
-              | Some n -> Ok { req with rq_bindings = (k, n) :: req.rq_bindings }
-              | None ->
-                Error
-                  (Printf.sprintf "bad parameter %S (want an integer value)" tok)
-            end)
-            in
-            Ok (req, seen))
-        (Ok
-           ( {
-               rq_id = id;
-               rq_program = program;
-               rq_topology = topology;
-               rq_bindings = [];
-               rq_options = { Ctx.default_options with Ctx.fallback = true };
-               rq_retries = default_retries;
-             },
-             [] ))
-        opts
-    in
-    Ok (Some { req with rq_bindings = List.rev req.rq_bindings })
+    fold_options ~keys:serve_keys
+      ~set:(fun s req ->
+        match s with
+        | Retries n -> { req with rq_retries = n }
+        | s -> { req with rq_options = set_options req.rq_options s })
+      (* anything else is a program parameter binding *)
+      ~other:(fun k v req ->
+        Result.map
+          (fun b -> { req with rq_bindings = b :: req.rq_bindings })
+          (binding k v))
+      {
+        rq_id = id;
+        rq_program = program;
+        rq_topology = topology;
+        rq_bindings = [];
+        rq_options = { Ctx.default_options with Ctx.fallback = true };
+        rq_retries = default_retries;
+      }
+      opts
+    |> Result.map (fun req -> Some { req with rq_bindings = List.rev req.rq_bindings })
+
+(* the outcome of a request answered without a mapping *)
+let refused ~id ~program ~topology e =
+  {
+    r_id = id;
+    r_program = program;
+    r_topology = topology;
+    r_ok = false;
+    r_strategy = "-";
+    r_degradation = None;
+    r_completion = None;
+    r_elapsed_ms = 0.0;
+    r_attempts = 0;
+    r_fuel_used = 0;
+    r_error = e;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* the attempt schedule                                               *)
@@ -307,6 +375,11 @@ type caches = {
       (* key: the topology spec string *)
 }
 
+(* the LRU bound every long-lived serving front end uses by default:
+   a long [serve] stream and the daemon alike keep at most this many
+   compiled programs and topologies resident *)
+let default_cache_bound = 64
+
 let caches ?bound () =
   { c_programs = Memo.create ?bound (); c_topologies = Memo.create ?bound () }
 
@@ -317,78 +390,56 @@ let program_key req =
          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
          (List.sort compare req.rq_bindings))
 
+(* a setup crash is an error result, never an exception *)
+let protected f =
+  match Isolate.protect f with
+  | Error exn -> Error ("internal crash: " ^ exn)
+  | Ok r -> r
+
 let compile_program req =
   let ( let* ) = Result.bind in
-  match
-    Isolate.protect (fun () ->
-        let* source, defaults = load_program req.rq_program in
-        let bindings =
-          req.rq_bindings
-          @ List.filter
-              (fun (k, _) -> not (List.mem_assoc k req.rq_bindings))
-              defaults
-        in
-        Oregami_larcs.Compile.compile_source ~bindings source)
-  with
-  | Error exn -> Error ("internal crash: " ^ exn)
-  | Ok r -> r
+  protected (fun () ->
+      let* source, defaults = load_program req.rq_program in
+      let bindings =
+        req.rq_bindings
+        @ List.filter (fun (k, _) -> not (List.mem_assoc k req.rq_bindings)) defaults
+      in
+      Oregami_larcs.Compile.compile_source ~bindings source)
 
 let build_topology spec =
-  match
-    Isolate.protect (fun () ->
-        Result.map
-          (fun t ->
-            (* pre-warm the hop matrix once, here, so every request on
-               this topology (from any domain) finds it published *)
-            ignore (Oregami_topology.Distcache.hops t);
-            t)
-          (Topology.of_string spec))
-  with
-  | Error exn -> Error ("internal crash: " ^ exn)
-  | Ok r -> r
+  protected (fun () ->
+      Result.map
+        (fun t ->
+          (* pre-warm the hop matrix once, here, so every request on
+             this topology (from any domain) finds it published *)
+          ignore (Oregami_topology.Distcache.hops t);
+          t)
+        (Topology.of_string spec))
 
-let setup ?caches req =
+let setup c req =
   let ( let* ) = Result.bind in
-  match caches with
-  | Some c ->
-    (* same error precedence as the uncached path: topology first *)
-    let* topo =
-      Memo.get c.c_topologies req.rq_topology (fun () ->
-          build_topology req.rq_topology)
-    in
-    let* compiled =
-      Memo.get c.c_programs (program_key req) (fun () -> compile_program req)
-    in
-    Ok (compiled, topo)
-  | None -> begin
-    match
-      Isolate.protect (fun () ->
-          let* topo = Topology.of_string req.rq_topology in
-          let* source, defaults = load_program req.rq_program in
-          let bindings =
-            req.rq_bindings
-            @ List.filter
-                (fun (k, _) -> not (List.mem_assoc k req.rq_bindings))
-                defaults
-          in
-          let* compiled = Oregami_larcs.Compile.compile_source ~bindings source in
-          Ok (compiled, topo))
-    with
-    | Error exn -> Error ("internal crash: " ^ exn)
-    | Ok r -> r
-  end
+  (* topology first: its error wins over the program's *)
+  let* topo =
+    Memo.get c.c_topologies req.rq_topology (fun () ->
+        build_topology req.rq_topology)
+  in
+  let* compiled =
+    Memo.get c.c_programs (program_key req) (fun () -> compile_program req)
+  in
+  Ok (compiled, topo)
 
-let run_request ?(backoff = default_backoff) ?breaker ?caches req =
+let run_request ?(backoff = default_backoff) ?breaker ?caches:shared req =
   let breaker =
     match breaker with Some b -> b | None -> Isolate.breaker ()
   in
+  let caches = match shared with Some c -> c | None -> caches () in
   (* jitter stream decorrelated across requests of one batch *)
   let rng = Rng.create (req.rq_options.Ctx.seed + (977 * req.rq_id)) in
   let attempts = ref 0 in
   let fuel = ref 0 in
   let result, seconds =
     Clock.time (fun () ->
-        match setup ?caches req with
+        match setup caches req with
         | Error e -> Error e
         | Ok (compiled, topo) ->
           let best = ref (Error "not attempted") in
@@ -419,36 +470,24 @@ let run_request ?(backoff = default_backoff) ?breaker ?caches req =
           attempts := !n;
           !best)
   in
-  let elapsed_ms = seconds *. 1e3 in
+  let failed e =
+    {
+      (refused ~id:req.rq_id ~program:req.rq_program ~topology:req.rq_topology e) with
+      r_elapsed_ms = seconds *. 1e3;
+      r_attempts = !attempts;
+      r_fuel_used = !fuel;
+    }
+  in
   match result with
   | Ok (m, deg) ->
     {
-      r_id = req.rq_id;
-      r_program = req.rq_program;
-      r_topology = req.rq_topology;
+      (failed "") with
       r_ok = true;
       r_strategy = m.Mapping.strategy;
       r_degradation = Some deg;
       r_completion = Some (Metrics.completion_time m);
-      r_elapsed_ms = elapsed_ms;
-      r_attempts = !attempts;
-      r_fuel_used = !fuel;
-      r_error = "";
     }
-  | Error e ->
-    {
-      r_id = req.rq_id;
-      r_program = req.rq_program;
-      r_topology = req.rq_topology;
-      r_ok = false;
-      r_strategy = "-";
-      r_degradation = None;
-      r_completion = None;
-      r_elapsed_ms = elapsed_ms;
-      r_attempts = !attempts;
-      r_fuel_used = !fuel;
-      r_error = e;
-    }
+  | Error e -> failed e
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                          *)
@@ -487,29 +526,15 @@ let render fmt o =
 (* the serve loop                                                     *)
 
 let malformed ~id ~line e =
-  let program, topology =
-    match tokens line with
-    | p :: t :: _ -> (p, t)
-    | [ p ] -> (p, "-")
-    | [] -> ("-", "-")
-  in
-  {
-    r_id = id;
-    r_program = program;
-    r_topology = topology;
-    r_ok = false;
-    r_strategy = "-";
-    r_degradation = None;
-    r_completion = None;
-    r_elapsed_ms = 0.0;
-    r_attempts = 0;
-    r_fuel_used = 0;
-    r_error = e;
-  }
+  match tokens line with
+  | p :: t :: _ -> refused ~id ~program:p ~topology:t e
+  | [ p ] -> refused ~id ~program:p ~topology:"-" e
+  | [] -> refused ~id ~program:"-" ~topology:"-" e
 
-(* jobs = 1: the original streaming loop, request by request, no
-   caches — bit-identical to the pre-pool service. *)
-let serve_sequential ~breaker ~emit ic =
+(* Every request line becomes either a runnable request or, when it
+   does not parse, its error outcome; blank and comment lines consume
+   no id. *)
+let read_requests ic f =
   let next_id = ref 0 in
   try
     while true do
@@ -518,44 +543,21 @@ let serve_sequential ~breaker ~emit ic =
       | Ok None -> ()
       | Ok (Some req) ->
         incr next_id;
-        emit (run_request ~breaker req)
+        f (Ok req)
       | Error e ->
         incr next_id;
-        emit (malformed ~id:!next_id ~line e)
+        f (Error (malformed ~id:!next_id ~line e))
     done
   with End_of_file -> ()
-
-(* jobs > 1: read the whole batch up front (the work-queue needs
-   random access), fan the requests out over a domain pool sharing the
-   artifact caches and the breaker, and emit results in request order
-   as each prefix completes. *)
-let serve_parallel ~jobs ~breaker ~emit ic =
-  let caches = caches () in
-  let work = ref [] and next_id = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       match parse_request ~id:(!next_id + 1) line with
-       | Ok None -> ()
-       | Ok (Some req) ->
-         incr next_id;
-         work := `Run req :: !work
-       | Error e ->
-         incr next_id;
-         work := `Malformed (malformed ~id:!next_id ~line e) :: !work
-     done
-   with End_of_file -> ());
-  let work = Array.of_list (List.rev !work) in
-  Pool.run ~jobs ~n:(Array.length work)
-    ~task:(fun i ->
-      match work.(i) with
-      | `Malformed o -> o
-      | `Run req -> run_request ~breaker ~caches req)
-    ~emit:(fun _ o -> emit o)
 
 let serve ?(format = Tsv) ?breaker ?(jobs = 1) ic oc =
   let breaker =
     match breaker with Some b -> b | None -> Isolate.breaker ()
+  in
+  let caches = caches ~bound:default_cache_bound () in
+  let answer = function
+    | Ok req -> run_request ~breaker ~caches req
+    | Error o -> o
   in
   let failed = ref false in
   let emit o =
@@ -564,6 +566,17 @@ let serve ?(format = Tsv) ?breaker ?(jobs = 1) ic oc =
     output_char oc '\n';
     flush oc
   in
-  if jobs <= 1 then serve_sequential ~breaker ~emit ic
-  else serve_parallel ~jobs ~breaker ~emit ic;
+  (* jobs = 1 answers each line as soon as it is read, so an
+     interactive client sees its answer before typing the next request;
+     a wider pool needs random access, so it reads to end-of-file and
+     fans the batch out, emitting in request order *)
+  if jobs <= 1 then read_requests ic (fun item -> emit (answer item))
+  else begin
+    let work = ref [] in
+    read_requests ic (fun item -> work := item :: !work);
+    let work = Array.of_list (List.rev !work) in
+    Pool.run ~jobs ~n:(Array.length work)
+      ~task:(fun i -> answer work.(i))
+      ~emit:(fun _ o -> emit o)
+  end;
   if !failed then 1 else 0

@@ -9,21 +9,23 @@
     [PROGRAM] is a LaRCS source file or a built-in workload name,
     [TOPOLOGY] a topology spec ([torus:8x8], [hypercube:4], ...,
     optionally with a [:classes=CLASS@IDS/...] capability suffix).
-    Blank lines and lines whose first token starts with [#] are
-    skipped.  A repeated key on one line is a named parse error (the
-    later value would otherwise win silently).  Recognised option
-    keys: [fuel=N] and [deadline-ms=X]
-    (per-attempt budget), [retries=N] (extra reduced-scope attempts,
-    default 2), [seed=N], [routing=mm-route|oblivious|coarse|auto]
-    ([mm] is accepted as an alias for [mm-route]), [only=a,b] /
-    [exclude=a,b] (strategy selection),
-    [multilevel-threshold=N] (flat-vs-multilevel gate), and the
-    placement constraints [pin=T:P,...], [forbid=T:P,...],
+    Tokens are separated by spaces or tabs.  Blank lines and lines
+    whose first token starts with [#] are skipped.  A repeated key on
+    one line is a named parse error (the later value would otherwise
+    win silently).  Recognised option keys: [fuel=N] and
+    [deadline-ms=X] (per-attempt budget), [retries=N] (extra
+    reduced-scope attempts, default 2), [seed=N],
+    [routing=mm-route|oblivious|coarse|auto] ([mm] is accepted as an
+    alias for [mm-route]), [only=a,b] / [exclude=a,b] (strategy
+    selection), [multilevel-threshold=N] (flat-vs-multilevel gate),
+    and the placement constraints [pin=T:P,...], [forbid=T:P,...],
     [require=T:CLASS,...], [skip=CLASS,...] ([:] separates inside the
     values because [=] binds the key; see
     {!Oregami_mapper.Constraints}).  Any other [key=value] with an
     integer value is passed to the program as a parameter binding
-    (like [oregami map -p key=value]).
+    (like [oregami map -p key=value]).  These keys come from one
+    table, {!option_keys}, which the [map] command line and cluster
+    trace arrivals read too.
 
     Every request runs with [fallback] enabled, so a budgeted request
     always yields {e some} valid mapping whenever the machine is
@@ -40,18 +42,18 @@
 
     {2 Parallel serving}
 
-    With [jobs > 1] the batch is processed on a pool of OCaml 5
-    domains ({!Oregami_prelude.Pool}) sharing two build-once artifact
-    {!type-caches} — compiled programs keyed by program + bindings,
-    and topologies (hop matrix pre-warmed) keyed by spec string — so a
-    batch that names the same program/topology pairs repeatedly pays
-    each setup once instead of once per request.  Results are still
-    emitted strictly in request order (the pool's ordered collector),
-    and every request gets its own context, RNG, stats, and budget, so
-    for fixed seeds the output is byte-identical to a sequential run
-    except for the wall-clock column.  [jobs = 1] (the default) is the
-    original streaming loop: request by request, no caches, nothing
-    spawned. *)
+    Every {!serve} run shares two build-once artifact {!type-caches}
+    across its requests: compiled programs keyed by program +
+    bindings, and topologies (hop matrix pre-warmed) keyed by spec
+    string, each LRU-bounded by {!default_cache_bound}.  A batch that
+    names the same program/topology pairs repeatedly pays each setup
+    once instead of once per request.  With [jobs > 1] the requests
+    are answered on a pool of OCaml 5 domains
+    ({!Oregami_prelude.Pool}) sharing those caches.  Results are
+    always emitted strictly in request order, and every request gets
+    its own context, RNG, stats, and budget, so for fixed seeds the
+    output is byte-identical at every width except for the wall-clock
+    column. *)
 
 type format = Tsv | Sexp
 
@@ -90,6 +92,59 @@ val load_program : string -> (string * (string * int) list, string) result
     The channel is closed on every path, and files over
     {!max_program_bytes} are refused by name. *)
 
+(** {2 The option codec}
+
+    One table describes every mapping option a front end can set: the
+    serve/daemon line key, the command-line flag, its documentation,
+    and the value parser holding the only copy of that key's error
+    text.  [serve] lines accept every key; [oregami map] builds its
+    flags from all but [retries] and [seed]; cluster trace arrivals
+    take [pin], [forbid], [require] and [skip]. *)
+
+val tokens : string -> string list
+(** Split a request line on runs of spaces and tabs. *)
+
+type setting =
+  | Options of (Oregami_mapper.Ctx.options -> Oregami_mapper.Ctx.options)
+  | Constraint of
+      (Oregami_mapper.Constraints.spec -> Oregami_mapper.Constraints.spec)
+  | Retries of int  (** a request field, not a mapping option *)
+
+type option_key = {
+  o_key : string;  (** the [key=value] spelling, e.g. ["skip"] *)
+  o_flag : string;  (** the command-line flag, e.g. ["skip-class"] *)
+  o_docv : string;
+  o_doc : string;  (** cmdliner markup *)
+  o_repeatable : bool;
+      (** a repeatable flag whose values join with [,] into one value *)
+  o_parse : string -> (setting, string) result;
+}
+
+val option_keys : string list -> option_key list
+(** The table entries for the named keys, in table order. *)
+
+val constraint_keys : string list
+(** [pin], [forbid], [require] and [skip]: the placement-constraint
+    subset ([oregami repair] and cluster arrivals). *)
+
+val set_options : Oregami_mapper.Ctx.options -> setting -> Oregami_mapper.Ctx.options
+(** Apply a setting to mapping options ([Retries] leaves them alone). *)
+
+val binding : string -> string -> (string * int, string) result
+(** [binding key value]: a program parameter binding, or the named
+    error for a non-integer value. *)
+
+val fold_options :
+  keys:string list ->
+  set:(setting -> 'a -> 'a) ->
+  other:(string -> string -> 'a -> ('a, string) result) ->
+  'a ->
+  string list ->
+  ('a, string) result
+(** Fold [key=value] tokens left to right: keys in [keys] go through
+    their table parser and [set]; any other key goes to [other key
+    value].  A token without [=] or a repeated key is an [Error]. *)
+
 val parse_request : id:int -> string -> (request option, string) result
 (** [Ok None] for blank/comment lines.  Duplicate keys are an
     [Error]. *)
@@ -121,10 +176,14 @@ type caches = {
     missing program file — are immutable and safe to share across
     domains. *)
 
+val default_cache_bound : int
+(** The LRU bound {!serve} puts on its caches, and the daemon's
+    default: a long stream keeps bounded memory. *)
+
 val caches : ?bound:int -> unit -> caches
 (** Fresh, empty caches.  With [bound], each table keeps at most
     [bound] entries under LRU eviction ({!Oregami_prelude.Memo}) — the
-    configuration a long-lived daemon needs so sustained many-key
+    configuration a long-lived service needs so sustained many-key
     traffic cannot grow the caches without limit. *)
 
 val run_request :
@@ -137,9 +196,16 @@ val run_request :
     and strategy crashes both become an error outcome (the latter via
     the pipeline's own {!Oregami_mapper.Isolate} barrier).  Before
     each retry the calling domain sleeps per [backoff] (default
-    {!default_backoff}).  With [caches], program compilation and
-    topology construction go through the shared tables (and their
-    results are identical to a cold setup, wall-clock aside). *)
+    {!default_backoff}).  Program compilation and topology
+    construction go through [caches], or through fresh ones when none
+    are given; a cached result is identical to a cold setup,
+    wall-clock aside. *)
+
+val refused : id:int -> program:string -> topology:string -> string -> outcome
+(** An error outcome for a request answered without running (a
+    reject, a timeout): no attempts, no fuel, zero elapsed time.  It
+    has the shape of a mapping error, so every client sees one result
+    line per request, whatever happened to it. *)
 
 val malformed : id:int -> line:string -> string -> outcome
 (** The error outcome {!serve} emits for an unparseable request line —
@@ -162,8 +228,8 @@ val serve :
     request order, continuing past failures.  Returns the batch exit
     code: 0 when every request succeeded, 1 when any failed.
 
-    [jobs] (default 1) is the domain-pool width.  [jobs = 1] streams
-    request by request with no caches, exactly as before; [jobs > 1]
-    reads the whole input to end-of-file first, then maps requests on
-    the pool with the shared artifact caches, emitting each result as
-    soon as all earlier results are out. *)
+    [jobs] (default 1) is the domain-pool width.  [jobs = 1] answers
+    each request as soon as its line is read; [jobs > 1] reads the
+    whole input to end-of-file first, then maps requests on the pool,
+    emitting each result as soon as all earlier results are out.  Both
+    share one {!default_cache_bound}-bounded {!type-caches}. *)

@@ -144,6 +144,9 @@ let counters t =
 
 let ms s = Printf.sprintf "%.3f" (1000.0 *. s)
 
+(* The tables hold only deterministic values.  Wall-clock goes in one
+   section of its own, each value last on its line, so no column width
+   or rule ever depends on how long a pass took. *)
 let to_table t =
   let attempt_rows =
     List.map
@@ -155,7 +158,7 @@ let to_table t =
           | Skipped r -> ("skipped", r)
           | Crashed e -> ("CRASHED", e)
         in
-        [ a.at_strategy; outcome; ms a.at_seconds; detail ])
+        [ a.at_strategy; outcome; detail ])
       (attempts t)
   in
   let cand_rows =
@@ -171,21 +174,25 @@ let to_table t =
       (candidates t)
   in
   let counter_rows = List.map (fun (k, v) -> [ k; string_of_int v ]) (counters t) in
+  let timings =
+    List.map (fun a -> ("strategy " ^ a.at_strategy, a.at_seconds)) (attempts t)
+    @ List.map (fun (n, s) -> ("phase " ^ n, s)) (phase_seconds t)
+    @ [ ("total pipeline", t.seconds) ]
+  in
+  let width = List.fold_left (fun w (n, _) -> max w (String.length n)) 0 timings in
   String.concat "\n"
-    [
-      "strategy attempts:";
-      Tab.render ~header:[ "strategy"; "outcome"; "ms"; "detail" ] attempt_rows;
-      "candidates (score = METRICS completion-time model):";
-      Tab.render ~header:[ "strategy"; "mapping"; "score"; "valid"; "" ] cand_rows;
-      "pipeline counters:";
-      Tab.render ~header:[ "counter"; "value" ] counter_rows;
-      "phase wall-clock:";
-      Tab.render ~header:[ "phase"; "ms" ]
-        (List.map (fun (n, s) -> [ n; ms s ]) (phase_seconds t));
-      Printf.sprintf "degradation: %s" (degradation_string t.degradation);
-      Printf.sprintf "total pipeline time: %s ms" (ms t.seconds);
-      "";
-    ]
+    ([
+       "strategy attempts:";
+       Tab.render ~header:[ "strategy"; "outcome"; "detail" ] attempt_rows;
+       "candidates (score = METRICS completion-time model):";
+       Tab.render ~header:[ "strategy"; "mapping"; "score"; "valid"; "" ] cand_rows;
+       "pipeline counters:";
+       Tab.render ~header:[ "counter"; "value" ] counter_rows;
+       Printf.sprintf "degradation: %s" (degradation_string t.degradation);
+       "wall-clock ms:";
+     ]
+    @ List.map (fun (n, s) -> Printf.sprintf "  %-*s  %s" width n (ms s)) timings
+    @ [ "" ])
 
 let to_sexp t =
   let buf = Buffer.create 512 in

@@ -131,8 +131,11 @@ val counters : t -> (string * int) list
 (** {1 Rendering} *)
 
 val to_table : t -> string
-(** Human-readable tables: attempts (strategy, outcome, time, reason),
-    candidates (label, score, validity, winner), then the counters. *)
+(** Human-readable tables: attempts (strategy, outcome, reason),
+    candidates (label, score, validity, winner), the counters and the
+    degradation, then one wall-clock section (per attempt, per phase,
+    total).  Only that last section varies between runs, and its
+    layout does not depend on the measured values. *)
 
 val to_sexp : t -> string
 (** The whole sink as one s-expression, for tooling. *)

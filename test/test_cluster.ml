@@ -256,6 +256,116 @@ let prop_chaos_repair_respects_constraints =
         QCheck.Test.fail_reportf "%d jobs, only %d accounted for" !job accounted;
       true)
 
+(* arrival options read through the serve codec: empty class names
+   are dropped, tabs separate tokens, a repeated key is an error *)
+let test_arrival_grammar () =
+  let arrival line =
+    match Cluster.parse_trace_line 1 line with
+    | Ok (Some (Cluster.Arrive a)) -> a
+    | Ok _ -> Alcotest.failf "%S: not an arrival" line
+    | Error e -> Alcotest.failf "%S: %s" line e
+  in
+  let skips line = (arrival line).Cluster.ar_constraints.Mapper.Constraints.skip_classes in
+  Alcotest.(check (list string)) "skip= skips nothing" [] (skips "arrive a voting skip=");
+  Alcotest.(check (list string)) "empty names dropped" [ "io" ]
+    (skips "arrive a voting skip=,io,");
+  let a = arrival "arrive a voting\tprocs=2\tpin=0:1" in
+  Alcotest.(check string) "tab ends the program" "voting" a.Cluster.ar_program;
+  Alcotest.(check (option int)) "procs after a tab" (Some 2) a.Cluster.ar_procs;
+  Alcotest.(check (list (pair int int))) "pin after a tab" [ (0, 1) ]
+    a.Cluster.ar_constraints.Mapper.Constraints.pins;
+  (match Cluster.parse_trace_line 3 "arrive a voting pin=0:1 pin=1:2" with
+  | Error e -> Alcotest.(check string) "duplicate named" "line 3: duplicate key \"pin\" (each key may appear once)" e
+  | Ok _ -> Alcotest.fail "repeated pin accepted");
+  match Cluster.parse_trace_line 1 "kill\tprocs=3" with
+  | Ok (Some (Cluster.Kill { procs = [ 3 ]; links = [] })) -> ()
+  | _ -> Alcotest.fail "tab-separated kill"
+
+let test_synth_trace_spec () =
+  let ok = Alcotest.(result (pair int int) string) in
+  Alcotest.check ok "events only" (Ok (5, 1)) (Cluster.synth_trace_of_string "synth:5");
+  Alcotest.check ok "empty seed is the default" (Ok (5, 1))
+    (Cluster.synth_trace_of_string "synth:5:");
+  Alcotest.check ok "explicit seed" (Ok (5, 9)) (Cluster.synth_trace_of_string "synth:5:9");
+  List.iter
+    (fun s ->
+      match Cluster.synth_trace_of_string s with
+      | Error e -> Alcotest.(check bool) (s ^ " named") true (contains e s)
+      | Ok _ -> Alcotest.failf "%S accepted" s)
+    [ "synth:0"; "synth:-2:1"; "synth:5:x"; "synth:5:1:2"; "synth:"; "trace.txt" ]
+
+(* --- the shared option codec, property-tested ---------------------- *)
+
+let codec_keys =
+  [ "fuel"; "deadline-ms"; "retries"; "seed"; "routing"; "only"; "exclude";
+    "multilevel-threshold"; "pin"; "forbid"; "require"; "skip"; "procs"; "n"; "" ]
+
+let constraint_value =
+  QCheck.Gen.(
+    let item =
+      oneof
+        [
+          map2 (Printf.sprintf "%d:%d") (int_range (-1) 5) (int_range (-1) 20);
+          map2 (Printf.sprintf "%d=%d") (int_range 0 5) (int_range 0 20);
+          map2 (Printf.sprintf "%d:%s") (int_range 0 5) (oneofl [ "mem"; "io"; "" ]);
+          oneofl [ "mem"; "io"; ""; "x:1"; "1:x"; "="; ":" ];
+        ]
+    in
+    map (String.concat ",") (list_size (int_range 0 3) item))
+
+let any_value =
+  QCheck.Gen.(
+    oneof
+      [
+        constraint_value;
+        oneofl [ ""; "0"; "-1"; "7"; "1.5"; "-3.0"; "abc"; "mm"; "coarse"; "a,b"; "=" ];
+      ])
+
+let kv_token = QCheck.Gen.(map2 (fun k v -> k ^ "=" ^ v) (oneofl codec_keys) any_value)
+
+let token = QCheck.Gen.(frequency [ (6, kv_token); (1, string_printable) ])
+
+let tokens_arb gen =
+  QCheck.make ~print:(String.concat " | ") QCheck.Gen.(list_size (int_range 0 6) gen)
+
+let serve_line toks = String.concat " " ("voting" :: "ring:4" :: toks)
+let arrival_line toks = String.concat " " ("arrive" :: "j" :: "voting" :: toks)
+
+let prop_codec_total =
+  QCheck.Test.make ~name:"option parsing is total" ~count:500 (tokens_arb token)
+    (fun toks ->
+      ignore (Service.parse_request ~id:1 (serve_line toks));
+      ignore (Cluster.parse_trace_line 1 (arrival_line toks));
+      true)
+
+let prop_repeated_key_rejected =
+  QCheck.Test.make ~name:"a repeated key is rejected" ~count:300
+    (QCheck.pair (tokens_arb kv_token) (QCheck.make any_value))
+    (fun (toks, v) ->
+      QCheck.assume (toks <> []);
+      let first = List.hd toks in
+      let k = String.sub first 0 (String.index first '=') in
+      let toks = toks @ [ k ^ "=" ^ v ] in
+      Result.is_error (Service.parse_request ~id:1 (serve_line toks))
+      && Result.is_error (Cluster.parse_trace_line 1 (arrival_line toks)))
+
+let prop_serve_cluster_constraints_agree =
+  let constraint_token =
+    QCheck.Gen.(
+      map2 (fun k v -> k ^ "=" ^ v) (oneofl [ "pin"; "forbid"; "require"; "skip" ])
+        constraint_value)
+  in
+  QCheck.Test.make ~name:"serve and cluster arrivals parse constraints alike"
+    ~count:500 (tokens_arb constraint_token) (fun toks ->
+      match
+        ( Service.parse_request ~id:1 (serve_line toks),
+          Cluster.parse_trace_line 1 (arrival_line toks) )
+      with
+      | Ok (Some req), Ok (Some (Cluster.Arrive a)) ->
+        req.Service.rq_options.Mapper.Ctx.constraints = a.Cluster.ar_constraints
+      | Error e, Error e' -> "line 1: " ^ e = e'
+      | _ -> false)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -273,5 +383,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_chaos_repair_respects_constraints;
         ] );
       ( "parsing",
-        [ Alcotest.test_case "chaos and trace grammar" `Quick test_parsers ] );
+        [
+          Alcotest.test_case "chaos and trace grammar" `Quick test_parsers;
+          Alcotest.test_case "arrival options via the serve codec" `Quick
+            test_arrival_grammar;
+          Alcotest.test_case "synth trace spec" `Quick test_synth_trace_spec;
+          QCheck_alcotest.to_alcotest prop_codec_total;
+          QCheck_alcotest.to_alcotest prop_repeated_key_rejected;
+          QCheck_alcotest.to_alcotest prop_serve_cluster_constraints_agree;
+        ] );
     ]

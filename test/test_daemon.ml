@@ -376,6 +376,11 @@ let test_cluster_verb () =
       say c "cluster torus:4x4 synth:nope";
       Alcotest.(check bool) "bad trace spec named" true
         (contains (hear c) "error");
+      (* the trace spec has the CLI's reading: an empty seed is seed 1 *)
+      say c "cluster torus:4x4 synth:5:";
+      let empty_seed = hear c in
+      say c "cluster torus:4x4 synth:5:1";
+      Alcotest.(check string) "synth:5: = synth:5:1" (hear c) empty_seed;
       hangup c)
 
 let () =

@@ -228,6 +228,40 @@ let test_exclude () =
   Alcotest.(check bool) "canned+group excluded -> general" true
     (List.mem m.Mapping.strategy [ "mwm+nn"; "tiled+nn"; "blocks+nn" ])
 
+(* the explain tables must not move with wall-clock: two sinks that
+   differ only in their timings render identically once every number
+   is masked, so a transcript cannot flake on a slow pass *)
+let test_stats_table_layout () =
+  let table seconds =
+    let st = Stats.create () in
+    Stats.record_attempt st ~strategy:"canned"
+      ~outcome:(Stats.Rejected "no declared or detected graph family") ~seconds;
+    Stats.record_attempt st ~strategy:"group" ~outcome:(Stats.Produced 1) ~seconds;
+    let c =
+      Stats.record_candidate st ~strategy:"group" ~label:"group-theoretic"
+        ~score:(Some 24) ~ok:true ~note:""
+    in
+    Stats.mark_winner st c;
+    Stats.bump st "refine moves" 3;
+    Stats.add_phase_seconds st "produce" seconds;
+    Stats.add_phase_seconds st "validate" seconds;
+    Stats.add_seconds st seconds;
+    Stats.to_table st
+  in
+  let mask s =
+    let b = Buffer.create (String.length s) in
+    String.iteri
+      (fun i ch ->
+        let numeric c = (c >= '0' && c <= '9') || c = '.' in
+        if not (numeric ch) then Buffer.add_char b ch
+        else if i = 0 || not (numeric s.[i - 1]) then Buffer.add_char b '*')
+      s;
+    Buffer.contents b
+  in
+  let fast = table 0.001 and slow = table 12.345 in
+  Alcotest.(check bool) "timings are printed" true (fast <> slow);
+  Alcotest.(check string) "layout independent of the timings" (mask fast) (mask slow)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -242,6 +276,7 @@ let () =
         [
           Alcotest.test_case "deterministic runs" `Quick test_deterministic;
           Alcotest.test_case "stats recorded" `Quick test_stats_recorded;
+          Alcotest.test_case "stats table layout" `Quick test_stats_table_layout;
           Alcotest.test_case "selection errors" `Quick test_selection_errors;
           Alcotest.test_case "ablation strategies" `Quick test_ablation_strategies;
           Alcotest.test_case "exclude" `Quick test_exclude;
