@@ -9,7 +9,10 @@ type t = {
   mutable edge_count : int;
 }
 
-let create n = { n; adj = Array.make n []; weights = Hashtbl.create 16; edge_count = 0 }
+(* sized from n up front: the graphs built here have O(n) edges, and
+   every reader of [weights] is order-independent *)
+let create n =
+  { n; adj = Array.make n []; weights = Hashtbl.create (max 16 n); edge_count = 0 }
 
 let node_count g = g.n
 

@@ -20,9 +20,11 @@ type cayley_analysis = {
 
 type affine_map = { matrix : int array array; offset : int array }
 
+type family_match = { fam_name : string; relabel : int array; fam_dims : int list option }
+
 type t = {
   declared_family : string option;
-  detected_family : string option;
+  family_match : family_match option;
   comm_kinds : (string * comm_kind) list;
   all_bijective : bool;
   cayley : cayley_analysis option;
@@ -79,8 +81,6 @@ let cayley_of_kinds n kinds =
 
 let iso_cap = 64
 
-type family_match = { fam_name : string; relabel : int array; fam_dims : int list option }
-
 let unit_edge_set g =
   Ugraph.edges g |> List.map (fun (u, v, _) -> (u, v)) |> List.sort compare
 
@@ -114,67 +114,190 @@ let path_order g start =
   walk (-1) start 0;
   if Array.exists (( = ) (-1)) pos then None else Some pos
 
+type shape = { nodes : int; edges : int; degrees : (int * int) list }
+
+(* ascending degrees, equal degrees merged, empty classes dropped *)
+let shape_of_degrees degrees =
+  let rec merge = function
+    | (d, a) :: (d', b) :: rest when d = d' -> merge ((d, a + b) :: rest)
+    | (_, 0) :: rest -> merge rest
+    | x :: rest -> x :: merge rest
+    | [] -> []
+  in
+  let degrees = merge (List.sort compare degrees) in
+  {
+    nodes = List.fold_left (fun acc (_, k) -> acc + k) 0 degrees;
+    edges = List.fold_left (fun acc (d, k) -> acc + (d * k)) 0 degrees / 2;
+    degrees;
+  }
+
+(* one axis of a mesh (a path) or torus (a cycle) as
+   [Topology.build_graph] wires it: the wrap link exists only past two
+   nodes, so a 2-cycle is a single edge *)
+let axis ~wrap k =
+  if k = 1 then [ (0, 1) ]
+  else if wrap && k > 2 then [ (2, k) ]
+  else [ (1, 2); (2, k - 2) ]
+
+let shape kind =
+  let grid ~wrap r c =
+    if r < 1 || c < 1 then None
+    else
+      Some
+        (shape_of_degrees
+           (List.concat_map
+              (fun (dr, kr) -> List.map (fun (dc, kc) -> (dr + dc, kr * kc)) (axis ~wrap c))
+              (axis ~wrap r)))
+  in
+  match kind with
+  | Topology.Mesh (r, c) -> grid ~wrap:false r c
+  | Topology.Torus (r, c) -> grid ~wrap:true r c
+  | Topology.Hypercube d -> if d < 0 then None else Some (shape_of_degrees [ (d, 1 lsl d) ])
+  | Topology.Binary_tree d ->
+    (* root 2, inner 3, leaves 1 *)
+    if d < 0 then None
+    else if d = 0 then Some (shape_of_degrees [ (0, 1) ])
+    else Some (shape_of_degrees [ (2, 1); (3, (1 lsl d) - 2); (1, 1 lsl d) ])
+  | Topology.Binomial_tree k ->
+    (* the root has k children; u > 0 has one child per trailing zero
+       bit plus its parent, and 2^(k-1-j) ids below 2^k have j of them *)
+    if k < 0 then None
+    else Some (shape_of_degrees ((k, 1) :: List.init k (fun j -> (j + 1, 1 lsl (k - 1 - j)))))
+  | Topology.Line _ | Topology.Ring _ | Topology.Complete _ | Topology.Butterfly _
+  | Topology.Cube_connected_cycles _ | Topology.Hex_mesh _ | Topology.Star_graph _
+  | Topology.De_bruijn _ | Topology.Shuffle_exchange _ -> None
+
+(* the undirected unit graph's node count, edge count and degrees, read
+   straight off the phases' adjacency lists: [seen.(v) = u] marks v as
+   already counted among u's neighbours, so no edge set is built *)
+type signature = { n : int; m : int; degree : int array; histogram : int array }
+
+let signature tg =
+  let n = tg.Taskgraph.n in
+  let degree = Array.make n 0 in
+  let seen = Array.make n (-1) in
+  for u = 0 to n - 1 do
+    let visit (v, _) =
+      if v <> u && seen.(v) <> u then begin
+        seen.(v) <- u;
+        degree.(u) <- degree.(u) + 1
+      end
+    in
+    List.iter
+      (fun cp ->
+        List.iter visit (Digraph.succ cp.Taskgraph.edges u);
+        List.iter visit (Digraph.pred cp.Taskgraph.edges u))
+      tg.Taskgraph.comm_phases
+  done;
+  let histogram = Array.make (1 + Array.fold_left max 0 degree) 0 in
+  Array.iter (fun d -> histogram.(d) <- histogram.(d) + 1) degree;
+  { n; m = Array.fold_left ( + ) 0 degree / 2; degree; histogram }
+
+let nodes_of_degree s d = if d < Array.length s.histogram then s.histogram.(d) else 0
+
+(* equal edge sets and isomorphisms both preserve the edge count and
+   the degree histogram, so a mismatch rejects [kind] without building it *)
+let fits s kind =
+  match shape kind with
+  | None -> true
+  | Some sh ->
+    sh.nodes = s.n && sh.edges = s.m
+    && List.for_all (fun (d, k) -> nodes_of_degree s d = k) sh.degrees
+
+let isqrt v =
+  let r = int_of_float (sqrt (float_of_int v)) in
+  let r = if r * r > v then r - 1 else r in
+  if (r + 1) * (r + 1) <= v then r + 1 else r
+
+(* an r x c mesh has r(c-1) + c(r-1) = 2n - (r + c) edges, so the edge
+   count fixes r + c, and with rc = n r is the smaller root of
+   x^2 - (r + c)x + n: at most one factor pair r <= c *)
+let mesh_candidate n m =
+  let sum = (2 * n) - m in
+  let disc = (sum * sum) - (4 * n) in
+  if disc < 0 then None
+  else begin
+    let r = (sum - isqrt disc) / 2 in
+    if r >= 2 && r * (sum - r) = n then Some (r, sum - r) else None
+  end
+
 let detect_family_match tg =
-  let g = Taskgraph.static_graph_unit tg in
-  let n = Ugraph.node_count g in
-  let degrees = List.init n (Ugraph.degree g) in
+  let s = signature tg in
+  let n = s.n and m = s.m in
+  (* the unit graph is built only once some family's arithmetic fits *)
+  let g = lazy (Taskgraph.static_graph_unit tg) in
+  let connected () = Traverse.is_connected (Lazy.force g) in
+  let all_degree d = nodes_of_degree s d = n in
   let is_pow2 v = v > 0 && v land (v - 1) = 0 in
   let log2 v =
     let rec go v acc = if v <= 1 then acc else go (v / 2) (acc + 1) in
     go v 0
   in
   let with_relabel fam_name kind fam_dims =
-    Option.map (fun relabel -> { fam_name; relabel; fam_dims }) (relabel_for g kind)
+    if not (fits s kind) then None
+    else
+      Option.map (fun relabel -> { fam_name; relabel; fam_dims }) (relabel_for (Lazy.force g) kind)
   in
-  if n >= 2 && 2 * Ugraph.edge_count g = n * (n - 1) then
+  if n >= 2 && 2 * m = n * (n - 1) then
     Some { fam_name = "complete"; relabel = Array.init n (fun i -> i); fam_dims = None }
-  else if n >= 3 && Traverse.is_connected g && List.for_all (( = ) 2) degrees then
+  else if n >= 3 && all_degree 2 && connected () then
     Option.map
       (fun relabel -> { fam_name = "ring"; relabel; fam_dims = None })
-      (path_order g 0)
+      (path_order (Lazy.force g) 0)
   else if
-    n >= 2 && Traverse.is_connected g
-    && Ugraph.edge_count g = n - 1
-    && List.length (List.filter (( = ) 1) degrees) = 2
-    && List.for_all (fun d -> d = 1 || d = 2) degrees
+    n >= 2 && m = n - 1
+    && nodes_of_degree s 1 = 2
+    && nodes_of_degree s 1 + nodes_of_degree s 2 = n
+    && connected ()
   then begin
     let endpoint =
-      let rec find v = if Ugraph.degree g v = 1 then v else find (v + 1) in
+      let rec find v = if s.degree.(v) = 1 then v else find (v + 1) in
       find 0
     in
     Option.map
       (fun relabel -> { fam_name = "line"; relabel; fam_dims = None })
-      (path_order g endpoint)
+      (path_order (Lazy.force g) endpoint)
   end
-  else if Treecanon.is_tree g then begin
-    let same kind = Treecanon.isomorphic_trees g (Topology.graph (Topology.make kind)) in
+  else if m = n - 1 && Treecanon.is_tree (Lazy.force g) then begin
+    let same kind =
+      fits s kind && Treecanon.isomorphic_trees (Lazy.force g) (Topology.graph (Topology.make kind))
+    in
     if is_pow2 n && same (Topology.Binomial_tree (log2 n)) then
       with_relabel "binomial" (Topology.Binomial_tree (log2 n)) None
     else if is_pow2 (n + 1) && n > 1 && same (Topology.Binary_tree (log2 (n + 1) - 1))
     then with_relabel "bintree" (Topology.Binary_tree (log2 (n + 1) - 1)) None
     else None
   end
-  else if is_pow2 n && n >= 4 && List.for_all (( = ) (log2 n)) degrees
-          && Option.is_some (with_relabel "hypercube" (Topology.Hypercube (log2 n)) None)
-  then with_relabel "hypercube" (Topology.Hypercube (log2 n)) None
   else begin
-    (* meshes and tori: try factorizations r x c, r <= c, r >= 2 *)
-    let rec try_grid kind_of name r =
-      if r * r > n then None
-      else if n mod r = 0 && r >= 2 then begin
-        let c = n / r in
-        match with_relabel name (kind_of r c) (Some [ r; c ]) with
-        | Some m -> Some m
-        | None -> try_grid kind_of name (r + 1)
-      end
-      else try_grid kind_of name (r + 1)
-    in
-    match try_grid (fun r c -> Topology.Mesh (r, c)) "mesh" 2 with
-    | Some m -> Some m
-    | None ->
-      if List.for_all (( = ) 4) degrees then
-        try_grid (fun r c -> Topology.Torus (r, c)) "torus" 3
+    let hypercube =
+      if is_pow2 n && n >= 4 && all_degree (log2 n) then
+        with_relabel "hypercube" (Topology.Hypercube (log2 n)) None
       else None
+    in
+    match hypercube with
+    | Some _ -> hypercube
+    | None -> begin
+      let mesh =
+        match mesh_candidate n m with
+        | Some (r, c) -> with_relabel "mesh" (Topology.Mesh (r, c)) (Some [ r; c ])
+        | None -> None
+      in
+      match mesh with
+      | Some _ -> mesh
+      | None ->
+        (* tori r x c with r, c >= 3: every degree 4, so each factor
+           pair fits and only the edge sets tell them apart *)
+        let rec try_torus r =
+          if r * r > n then None
+          else if n mod r = 0 then begin
+            match with_relabel "torus" (Topology.Torus (r, n / r)) (Some [ r; n / r ]) with
+            | Some _ as found -> found
+            | None -> try_torus (r + 1)
+          end
+          else try_torus (r + 1)
+        in
+        if all_degree 4 then try_torus 3 else None
+    end
   end
 
 let detect_family tg = Option.map (fun m -> m.fam_name) (detect_family_match tg)
@@ -355,7 +478,7 @@ let analyze (c : Compile.compiled) =
   in
   {
     declared_family = tg.Taskgraph.declared_family;
-    detected_family = detect_family tg;
+    family_match = detect_family_match tg;
     comm_kinds = kinds;
     all_bijective;
     cayley;
@@ -364,12 +487,14 @@ let analyze (c : Compile.compiled) =
     requirements;
   }
 
+let detected_family a = Option.map (fun m -> m.fam_name) a.family_match
+
 let pp fmt a =
   Format.fprintf fmt "@[<v>analysis:";
   (match a.declared_family with
   | Some f -> Format.fprintf fmt "@,  declared family: %s" f
   | None -> ());
-  (match a.detected_family with
+  (match detected_family a with
   | Some f -> Format.fprintf fmt "@,  detected family: %s" f
   | None -> Format.fprintf fmt "@,  detected family: none");
   List.iter

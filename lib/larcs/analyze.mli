@@ -27,11 +27,21 @@ type affine_map = {
   offset : int array;  (** [b]; the rule maps label [x] to [A·x + b] *)
 }
 
+type family_match = {
+  fam_name : string;
+  relabel : int array;
+      (** task id → canonical id within the family's standard numbering
+          (the numbering {!Oregami_topology.Topology} uses); canned
+          mappings must be composed with this *)
+  fam_dims : int list option;  (** mesh/torus factorization found *)
+}
+
 type t = {
   declared_family : string option;
-  detected_family : string option;
-      (** ["ring"], ["line"], ["complete"], ["hypercube"], ["mesh"],
-          ["bintree"], ["binomial"], or [None] *)
+  family_match : family_match option;
+      (** {!detect_family_match} on the program's task graph, computed
+          once per analysis so the mapper's dispatch tier does not
+          repeat it *)
   comm_kinds : (string * comm_kind) list;
   all_bijective : bool;
   cayley : cayley_analysis option;
@@ -73,14 +83,10 @@ val syntactic_is_cayley : translations -> bool
 
 val analyze : Compile.compiled -> t
 
-type family_match = {
-  fam_name : string;
-  relabel : int array;
-      (** task id → canonical id within the family's standard numbering
-          (the numbering {!Oregami_topology.Topology} uses); canned
-          mappings must be composed with this *)
-  fam_dims : int list option;  (** mesh/torus factorization found *)
-}
+val detected_family : t -> string option
+(** The matched family's name: ["ring"], ["line"], ["complete"],
+    ["hypercube"], ["mesh"], ["torus"], ["bintree"], ["binomial"], or
+    [None]. *)
 
 val detect_family : Oregami_taskgraph.Taskgraph.t -> string option
 (** Structural detection on the static (unit) graph; exact for rings,
@@ -95,5 +101,21 @@ val detect_family_match : Oregami_taskgraph.Taskgraph.t -> family_match option
     found {e or} a relabeling cannot be afforded (large irregularly
     numbered graphs), in which case canned mappings must not be
     used. *)
+
+type shape = {
+  nodes : int;
+  edges : int;
+  degrees : (int * int) list;  (** (degree, node count), ascending, counts > 0 *)
+}
+
+val shape : Oregami_topology.Topology.kind -> shape option
+(** Closed-form node count, edge count and degree histogram of
+    [Topology.graph (Topology.make kind)] for the families detection
+    compares against — meshes, tori (with the topology's rule that a
+    2-long axis has no wrap link), hypercubes, binary and binomial
+    trees; [None] for the other kinds.  {!detect_family_match} rejects
+    a family whose shape differs from the task graph's without building
+    the reference graph: equal edge sets and isomorphisms both preserve
+    edge count and degree histogram. *)
 
 val pp : Format.formatter -> t -> unit

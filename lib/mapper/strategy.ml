@@ -100,7 +100,14 @@ let canned_produce ctx =
     (* a declared family asserts the natural numbering *)
     attempt family (Ctx.mesh_dims ctx) None
   | None -> begin
-    match Analyze.detect_family_match tg with
+    (* a compiled program's analysis, which the systolic strategy
+       reads too, already holds the match: detect once per request *)
+    let detected =
+      match Ctx.analysis ctx with
+      | Some a -> a.Analyze.family_match
+      | None -> Analyze.detect_family_match tg
+    in
+    match detected with
     | Some m ->
       let dims =
         match m.Analyze.fam_dims with Some _ as d -> d | None -> Ctx.mesh_dims ctx

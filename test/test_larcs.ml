@@ -257,6 +257,272 @@ phases d0; d1; d2;
   Alcotest.(check (option string)) "hypercube detected" (Some "hypercube")
     (Larcs.Analyze.detect_family c.Larcs.Compile.graph)
 
+(* ------------------------------------------------------------------ *)
+(* family detection: closed-form prefilters against built references   *)
+
+module Ugraph = Oregami_graph.Ugraph
+module Traverse = Oregami_graph.Traverse
+module Treecanon = Oregami_graph.Treecanon
+module Iso = Oregami_graph.Iso
+module Topology = Oregami_topology.Topology
+module Synth = Oregami_workloads.Synth
+module Rng = Oregami_prelude.Rng
+
+let degree_histogram g =
+  let tbl = Hashtbl.create 8 in
+  for u = 0 to Ugraph.node_count g - 1 do
+    let d = Ugraph.degree g u in
+    Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
+  done;
+  List.sort compare (Hashtbl.fold (fun d k acc -> (d, k) :: acc) tbl [])
+
+let test_family_shapes () =
+  let check_kind kind =
+    let g = Topology.graph (Topology.make kind) in
+    let name = Topology.name (Topology.make kind) in
+    match Larcs.Analyze.shape kind with
+    | None -> Alcotest.failf "%s: no closed form" name
+    | Some sh ->
+      Alcotest.(check int) (name ^ " nodes") (Ugraph.node_count g) sh.Larcs.Analyze.nodes;
+      Alcotest.(check int) (name ^ " edges") (Ugraph.edge_count g) sh.Larcs.Analyze.edges;
+      Alcotest.(check (list (pair int int)))
+        (name ^ " degrees") (degree_histogram g) sh.Larcs.Analyze.degrees
+  in
+  for r = 2 to 12 do
+    for c = 2 to 12 do
+      check_kind (Topology.Mesh (r, c));
+      check_kind (Topology.Torus (r, c))
+    done
+  done;
+  for d = 0 to 8 do
+    check_kind (Topology.Hypercube d)
+  done;
+  (* every tree order the detector can ask for up to 2^10 nodes *)
+  for d = 0 to 9 do
+    check_kind (Topology.Binary_tree d)
+  done;
+  for k = 0 to 10 do
+    check_kind (Topology.Binomial_tree k)
+  done
+
+(* The detector as it was before the arithmetic prefilters: it builds
+   the unit graph and every candidate reference topology.  Kept as the
+   differential oracle: prefilters are necessary conditions only, so
+   the first match and its relabeling must not change. *)
+module Oracle = struct
+  open Larcs.Analyze
+
+  let unit_edge_set g =
+    Ugraph.edges g |> List.map (fun (u, v, _) -> (u, v)) |> List.sort compare
+
+  let relabel_for g kind =
+    let reference = Topology.graph (Topology.make kind) in
+    let n = Ugraph.node_count g in
+    if n <> Ugraph.node_count reference || Ugraph.edge_count g <> Ugraph.edge_count reference
+    then None
+    else if unit_edge_set g = unit_edge_set reference then Some (Array.init n (fun i -> i))
+    else if n <= 64 then Iso.isomorphism_distance_pruned g reference
+    else None
+
+  let path_order g start =
+    let n = Ugraph.node_count g in
+    let pos = Array.make n (-1) in
+    let rec walk prev v i =
+      pos.(v) <- i;
+      let nexts =
+        Ugraph.neighbors g v
+        |> List.map fst
+        |> List.filter (fun u -> u <> prev && pos.(u) = -1)
+        |> List.sort compare
+      in
+      match nexts with [] -> () | u :: _ -> walk v u (i + 1)
+    in
+    walk (-1) start 0;
+    if Array.exists (( = ) (-1)) pos then None else Some pos
+
+  let detect tg =
+    let g = Taskgraph.static_graph_unit tg in
+    let n = Ugraph.node_count g in
+    let degrees = List.init n (Ugraph.degree g) in
+    let is_pow2 v = v > 0 && v land (v - 1) = 0 in
+    let log2 v =
+      let rec go v acc = if v <= 1 then acc else go (v / 2) (acc + 1) in
+      go v 0
+    in
+    let with_relabel fam_name kind fam_dims =
+      Option.map (fun relabel -> { fam_name; relabel; fam_dims }) (relabel_for g kind)
+    in
+    if n >= 2 && 2 * Ugraph.edge_count g = n * (n - 1) then
+      Some { fam_name = "complete"; relabel = Array.init n (fun i -> i); fam_dims = None }
+    else if n >= 3 && Traverse.is_connected g && List.for_all (( = ) 2) degrees then
+      Option.map
+        (fun relabel -> { fam_name = "ring"; relabel; fam_dims = None })
+        (path_order g 0)
+    else if
+      n >= 2 && Traverse.is_connected g
+      && Ugraph.edge_count g = n - 1
+      && List.length (List.filter (( = ) 1) degrees) = 2
+      && List.for_all (fun d -> d = 1 || d = 2) degrees
+    then begin
+      let endpoint =
+        let rec find v = if Ugraph.degree g v = 1 then v else find (v + 1) in
+        find 0
+      in
+      Option.map
+        (fun relabel -> { fam_name = "line"; relabel; fam_dims = None })
+        (path_order g endpoint)
+    end
+    else if Treecanon.is_tree g then begin
+      let same kind = Treecanon.isomorphic_trees g (Topology.graph (Topology.make kind)) in
+      if is_pow2 n && same (Topology.Binomial_tree (log2 n)) then
+        with_relabel "binomial" (Topology.Binomial_tree (log2 n)) None
+      else if is_pow2 (n + 1) && n > 1 && same (Topology.Binary_tree (log2 (n + 1) - 1))
+      then with_relabel "bintree" (Topology.Binary_tree (log2 (n + 1) - 1)) None
+      else None
+    end
+    else if is_pow2 n && n >= 4 && List.for_all (( = ) (log2 n)) degrees
+            && Option.is_some (with_relabel "hypercube" (Topology.Hypercube (log2 n)) None)
+    then with_relabel "hypercube" (Topology.Hypercube (log2 n)) None
+    else begin
+      let rec try_grid kind_of name r =
+        if r * r > n then None
+        else if n mod r = 0 && r >= 2 then begin
+          let c = n / r in
+          match with_relabel name (kind_of r c) (Some [ r; c ]) with
+          | Some m -> Some m
+          | None -> try_grid kind_of name (r + 1)
+        end
+        else try_grid kind_of name (r + 1)
+      in
+      match try_grid (fun r c -> Topology.Mesh (r, c)) "mesh" 2 with
+      | Some m -> Some m
+      | None ->
+        if List.for_all (( = ) 4) degrees then
+          try_grid (fun r c -> Topology.Torus (r, c)) "torus" 3
+        else None
+    end
+end
+
+let taskgraph_of_edges name n edges =
+  let d = Digraph.create n in
+  List.iter (fun (u, v) -> Digraph.add_edge d u v) edges;
+  Taskgraph.make_exn ~name ~n
+    ~comm_phases:[ ("comm", d) ]
+    ~exec_phases:[ ("work", Array.make n 1) ]
+    ~expr:(Phase_expr.Seq (Phase_expr.Comm "comm", Phase_expr.Exec "work"))
+    ()
+
+let describe = function
+  | None -> "none"
+  | Some m ->
+    Printf.sprintf "%s [%s] dims=%s" m.Larcs.Analyze.fam_name
+      (String.concat ";" (Array.to_list (Array.map string_of_int m.Larcs.Analyze.relabel)))
+      (match m.Larcs.Analyze.fam_dims with
+      | None -> "-"
+      | Some ds -> String.concat "x" (List.map string_of_int ds))
+
+let agrees name tg =
+  let want = Oracle.detect tg and got = Larcs.Analyze.detect_family_match tg in
+  if want <> got then
+    Alcotest.failf "%s: oracle %s, detector %s" name (describe want) (describe got)
+
+let phase_edges tg =
+  List.concat_map
+    (fun cp -> List.map (fun (u, v, _) -> (u, v)) (Digraph.edges cp.Taskgraph.edges))
+    tg.Taskgraph.comm_phases
+
+(* the graph, with one edge removed and with one added *)
+let with_neighbours name n edges rng =
+  let base = [ (name, taskgraph_of_edges name n edges) ] in
+  let removed =
+    match edges with
+    | [] -> []
+    | _ :: _ ->
+      let k = Rng.int rng (List.length edges) in
+      let edges' = List.filteri (fun i _ -> i <> k) edges in
+      [ (name ^ " minus an edge", taskgraph_of_edges name n edges') ]
+  in
+  let added =
+    if n < 2 then []
+    else begin
+      let u = Rng.int rng n in
+      let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+      [ (name ^ " plus an edge", taskgraph_of_edges name n ((u, v) :: edges)) ]
+    end
+  in
+  base @ removed @ added
+
+let test_detect_differential () =
+  let rng = Rng.create 15 in
+  let kinds =
+    List.concat
+      [
+        List.init 10 (fun i -> Topology.Line (i + 1));
+        List.init 10 (fun i -> Topology.Ring (i + 1));
+        List.init 8 (fun i -> Topology.Complete (i + 1));
+        List.concat_map
+          (fun r -> List.init 8 (fun c -> Topology.Mesh (r, c + 1)))
+          [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+        List.concat_map
+          (fun r -> List.init 8 (fun c -> Topology.Torus (r, c + 1)))
+          [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+        List.init 7 (fun d -> Topology.Hypercube d);
+        List.init 6 (fun d -> Topology.Binary_tree d);
+        List.init 7 (fun k -> Topology.Binomial_tree k);
+        [ Topology.Butterfly 1; Topology.Butterfly 2; Topology.Butterfly 3 ];
+        [ Topology.Cube_connected_cycles 3; Topology.Hex_mesh (3, 4); Topology.Star_graph 4 ];
+        [ Topology.De_bruijn 3; Topology.De_bruijn 4; Topology.Shuffle_exchange 3 ];
+      ]
+  in
+  List.iter
+    (fun kind ->
+      let t = Topology.make kind in
+      let g = Topology.graph t in
+      let n = Ugraph.node_count g in
+      let edges = List.map (fun (u, v, _) -> (u, v)) (Ugraph.edges g) in
+      let name = Topology.name t in
+      List.iter (fun (name, tg) -> agrees name tg) (with_neighbours name n edges rng);
+      if n <= 64 then
+        for round = 1 to 2 do
+          let perm = Array.init n (fun i -> i) in
+          Rng.shuffle rng perm;
+          let relabeled = List.map (fun (u, v) -> (perm.(u), perm.(v))) edges in
+          let name = Printf.sprintf "%s relabeled #%d" name round in
+          List.iter (fun (name, tg) -> agrees name tg) (with_neighbours name n relabeled rng)
+        done)
+    kinds;
+  List.iter
+    (fun family ->
+      for n = 2 to 200 do
+        let tg = Synth.generate family ~n ~seed:1 in
+        List.iter
+          (fun (name, tg) -> agrees name tg)
+          (with_neighbours tg.Taskgraph.tg_name n (phase_edges tg) rng)
+      done)
+    [ Synth.Grid; Synth.Ring; Synth.Tree; Synth.Rmat ]
+
+let test_detect_rejection_cost () =
+  (* a 158-row grid with a ragged last row: no family fits.  Rejecting
+     it must cost a pass over the edges, not reference builds *)
+  let tg = Result.get_ok (Synth.build "synth:grid:25000") in
+  let edges = Ugraph.edge_count (Taskgraph.static_graph_unit tg) in
+  let before = Gc.minor_words () in
+  let found = Larcs.Analyze.detect_family_match tg in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "rejected" "none" (describe found);
+  let per_edge = words /. float_of_int edges in
+  if per_edge > 64.0 then
+    Alcotest.failf "rejection allocated %.1f minor words per edge (bound 64)" per_edge;
+  (* exactly 160 x 160: still the natural mesh *)
+  let tg = Result.get_ok (Synth.build "synth:grid:25600") in
+  match Larcs.Analyze.detect_family_match tg with
+  | None -> Alcotest.fail "160x160 grid not detected"
+  | Some m ->
+    Alcotest.(check string) "mesh" "mesh" m.Larcs.Analyze.fam_name;
+    Alcotest.(check (option (list int))) "dims" (Some [ 160; 160 ]) m.Larcs.Analyze.fam_dims;
+    Alcotest.(check bool) "identity relabeling" true
+      (m.Larcs.Analyze.relabel = Array.init 25600 (fun i -> i))
+
 let test_pretty_roundtrip () =
   let p = Result.get_ok (Larcs.Parser.parse nbody_source) in
   let printed = Larcs.Pretty.program p in
@@ -447,5 +713,11 @@ let () =
           Alcotest.test_case "nbody cayley" `Quick test_analyze_nbody;
           Alcotest.test_case "affine stencil" `Quick test_analyze_affine;
           Alcotest.test_case "family detection" `Quick test_analyze_families;
+          Alcotest.test_case "family shapes match the built topologies" `Quick
+            test_family_shapes;
+          Alcotest.test_case "detector agrees with the reference-building oracle" `Quick
+            test_detect_differential;
+          Alcotest.test_case "rejection is one pass over the edges" `Quick
+            test_detect_rejection_cost;
         ] );
     ]
