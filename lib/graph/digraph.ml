@@ -30,6 +30,21 @@ let pred g v =
   check g v;
   List.rev g.pred.(v)
 
+(* top level, so a walk allocates no closure *)
+let rec iter_pairs f = function
+  | [] -> ()
+  | (v, w) :: rest ->
+    f v w;
+    iter_pairs f rest
+
+let iter_succ f g u =
+  check g u;
+  iter_pairs f g.succ.(u)
+
+let iter_pred f g v =
+  check g v;
+  iter_pairs f g.pred.(v)
+
 let out_degree g u =
   check g u;
   List.length g.succ.(u)

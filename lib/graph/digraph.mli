@@ -24,6 +24,15 @@ val succ : t -> int -> (int * int) list
 
 val pred : t -> int -> (int * int) list
 
+val iter_succ : (int -> int -> unit) -> t -> int -> unit
+(** [iter_succ f g u] calls [f v w] for each edge [u -> v] of weight
+    [w], in an unspecified order, without copying the adjacency list.
+    Use {!succ} where the order matters. *)
+
+val iter_pred : (int -> int -> unit) -> t -> int -> unit
+(** [iter_pred f g v] calls [f u w] for each edge [u -> v], in an
+    unspecified order, without copying. *)
+
 val out_degree : t -> int -> int
 
 val in_degree : t -> int -> int

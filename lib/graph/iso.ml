@@ -102,9 +102,13 @@ let digraph_isomorphism a b =
   let n = Digraph.node_count a in
   if n <> Digraph.node_count b then None
   else begin
+    let distinct iter g u =
+      let ends = ref [] in
+      iter (fun v _ -> ends := v :: !ends) g u;
+      List.length (List.sort_uniq compare !ends)
+    in
     let distinct_degrees g u =
-      (List.length (List.sort_uniq compare (List.map fst (Digraph.succ g u))),
-       List.length (List.sort_uniq compare (List.map fst (Digraph.pred g u))))
+      (distinct Digraph.iter_succ g u, distinct Digraph.iter_pred g u)
     in
     let candidates u =
       let d = distinct_degrees a u in

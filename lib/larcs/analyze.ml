@@ -41,9 +41,9 @@ let comm_function tg phase =
     let f = Array.make n (-1) in
     let ok = ref true in
     for v = 0 to n - 1 do
-      match Digraph.succ cp.Taskgraph.edges v with
-      | [ (w, _) ] -> f.(v) <- w
-      | [] | _ :: _ :: _ -> ok := false
+      if Digraph.out_degree cp.Taskgraph.edges v = 1 then
+        Digraph.iter_succ (fun w _ -> f.(v) <- w) cp.Taskgraph.edges v
+      else ok := false
     done;
     if !ok then Some f else None
 
@@ -176,18 +176,22 @@ let signature tg =
   let n = tg.Taskgraph.n in
   let degree = Array.make n 0 in
   let seen = Array.make n (-1) in
-  for u = 0 to n - 1 do
-    let visit (v, _) =
-      if v <> u && seen.(v) <> u then begin
-        seen.(v) <- u;
-        degree.(u) <- degree.(u) + 1
-      end
-    in
-    List.iter
-      (fun cp ->
-        List.iter visit (Digraph.succ cp.Taskgraph.edges u);
-        List.iter visit (Digraph.pred cp.Taskgraph.edges u))
-      tg.Taskgraph.comm_phases
+  (* the closures are built once, outside the node loop, so the pass
+     allocates nothing per node or edge *)
+  let u = ref 0 in
+  let visit v _ =
+    if v <> !u && seen.(v) <> !u then begin
+      seen.(v) <- !u;
+      degree.(!u) <- degree.(!u) + 1
+    end
+  in
+  let walk cp =
+    Digraph.iter_succ visit cp.Taskgraph.edges !u;
+    Digraph.iter_pred visit cp.Taskgraph.edges !u
+  in
+  for v = 0 to n - 1 do
+    u := v;
+    List.iter walk tg.Taskgraph.comm_phases
   done;
   let histogram = Array.make (1 + Array.fold_left max 0 degree) 0 in
   Array.iter (fun d -> histogram.(d) <- histogram.(d) + 1) degree;

@@ -19,9 +19,9 @@ let phase_function tg (cp : Taskgraph.comm_phase) =
   let f = Array.make n (-1) in
   let ok = ref true in
   for v = 0 to n - 1 do
-    match Digraph.succ cp.Taskgraph.edges v with
-    | [ (w, _) ] -> f.(v) <- w
-    | [] | _ :: _ :: _ -> ok := false
+    if Digraph.out_degree cp.Taskgraph.edges v = 1 then
+      Digraph.iter_succ (fun w _ -> f.(v) <- w) cp.Taskgraph.edges v
+    else ok := false
   done;
   if !ok && Perm.is_bijection n (fun i -> f.(i)) then Some (Perm.of_array f) else None
 

@@ -33,17 +33,6 @@ let dense_clusters uf n =
   done;
   (cluster_of, clusters)
 
-(* weight between two clusters under the current task partition *)
-let inter_weight g members_a members_b =
-  let in_b = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_b v ()) members_b;
-  List.fold_left
-    (fun acc v ->
-      List.fold_left
-        (fun acc (u, w) -> if Hashtbl.mem in_b u then acc + w else acc)
-        acc (Ugraph.neighbors g v))
-    0 members_a
-
 let contract ?b ?budget g ~procs =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   (* charge [cost] work units; on exhaustion mark this site truncated *)
@@ -66,13 +55,14 @@ let contract ?b ?budget g ~procs =
       let uf = Union_find.create n in
       let half = max 1 (b / 2) in
       let greedy_merges = ref 0 in
+      let edges = Ugraph.edges g in
       (* greedy phase: heaviest edges first, clusters capped at b/2,
          stop once at most 2*procs clusters remain (paper Fig 5) *)
       if n > 2 * procs then begin
         let edges =
           List.sort
             (fun (u1, v1, w1) (u2, v2, w2) -> compare (-w1, u1, v1) (-w2, u2, v2))
-            (Ugraph.edges g)
+            edges
         in
         List.iter
           (fun (u, v, _) ->
@@ -95,111 +85,231 @@ let contract ?b ?budget g ~procs =
          of <= B/2 tasks) finishes in the single matching round the
          paper describes. *)
       let matched_pairs = ref 0 in
-      let _, initial = dense_clusters uf n in
-      let clusters = ref (Array.to_list initial) in
-      let exception Stuck in
-      let merge_pass () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
-        let size c = List.length arr.(c) in
-        let edges = ref [] in
-        let dead = ref false in
-        for a = 0 to k - 1 do
-          for c = a + 1 to k - 1 do
-            if (not !dead) && size a + size c <= b then begin
-              if not (check (size a + size c)) then dead := true
-              else begin
-                let w = inter_weight g arr.(a) arr.(c) in
-                if w > 0 then edges := (a, c, w) :: !edges
-              end
-            end
-          done
-        done;
-        let mate =
-          if b >= 2 then Blossom.max_weight_matching ~n:k !edges else Array.make k (-1)
-        in
-        let merged = Array.make k false in
-        let out = ref [] in
-        let progressed = ref false in
-        Array.iteri
-          (fun c m ->
-            if m > c then begin
-              out := List.merge compare arr.(c) arr.(m) :: !out;
-              merged.(c) <- true;
-              merged.(m) <- true;
-              incr matched_pairs;
-              progressed := true
-            end)
-          mate;
-        Array.iteri (fun c members -> if not merged.(c) then out := members :: !out) arr;
-        clusters := List.rev !out;
-        !progressed
+      let cluster_of, members = dense_clusters uf n in
+      (* Clusters keep stable handles (their index in [members]).
+         [order.(0 .. !k-1)] lists the live handles in the order the
+         passes see them and [pos] inverts it: positions are the cluster
+         indices of a pairwise scan, and every tie below is broken by
+         them.  [adj] is the quotient graph, handle -> neighbour handle
+         -> total weight of the edges between the two clusters, folded
+         together on each merge instead of recomputed from the task
+         graph. *)
+      let handles = Array.length members in
+      let size = Array.map List.length members in
+      let order = Array.init handles Fun.id in
+      let pos = Array.init handles Fun.id in
+      let k = ref handles in
+      let adj = Array.init handles (fun _ -> Hashtbl.create 8) in
+      let bump h z w =
+        Hashtbl.replace adj.(h) z (w + Option.value ~default:0 (Hashtbl.find_opt adj.(h) z))
       in
-      let zero_merge () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
-        let size c = List.length arr.(c) in
-        let best = ref None in
-        let dead = ref false in
-        for a = 0 to k - 1 do
-          for c = a + 1 to k - 1 do
-            if (not !dead) && size a + size c <= b then begin
-              if not (check (size a + size c)) then dead := true
-              else begin
-                let w = inter_weight g arr.(a) arr.(c) in
-                match !best with
-                | Some (bw, _, _) when bw >= w -> ()
-                | Some _ | None -> best := Some (w, a, c)
-              end
-            end
-          done
+      let build_quotient cluster_of =
+        Array.iter Hashtbl.reset adj;
+        List.iter
+          (fun (u, v, w) ->
+            let hu = cluster_of.(u) and hv = cluster_of.(v) in
+            if hu <> hv then begin
+              bump hu hv w;
+              bump hv hu w
+            end)
+          edges
+      in
+      build_quotient cluster_of;
+      let set_order hs =
+        k := 0;
+        List.iter
+          (fun h ->
+            order.(!k) <- h;
+            pos.(h) <- !k;
+            incr k)
+          hs
+      in
+      let live () = List.init !k (fun i -> order.(i)) in
+      (* the smaller neighbourhood moves; returns the surviving handle *)
+      let merge x y =
+        let keep, gone =
+          if Hashtbl.length adj.(x) >= Hashtbl.length adj.(y) then (x, y) else (y, x)
+        in
+        members.(keep) <- List.merge compare members.(keep) members.(gone);
+        size.(keep) <- size.(keep) + size.(gone);
+        members.(gone) <- [];
+        Hashtbl.remove adj.(keep) gone;
+        Hashtbl.iter
+          (fun z w ->
+            if z <> keep then begin
+              Hashtbl.remove adj.(z) gone;
+              bump z keep w;
+              bump keep z w
+            end)
+          adj.(gone);
+        Hashtbl.reset adj.(gone);
+        keep
+      in
+      (* A pass is charged what the pairwise scan charged: [size a +
+         size c] for every capacity-feasible pair of positions a < c,
+         polled in lexicographic order.  A limited budget is polled pair
+         by pair over the sizes alone, and only the pairs before the one
+         it refuses (returned as [a * k + c]; max_int when none) take
+         part in the pass.  An unlimited budget cannot refuse, so it is
+         charged the same total in one poll: cluster i pairs with every
+         other cluster of size <= b - s_i. *)
+      let charge_pass () =
+        let k = !k in
+        let sz a = size.(order.(a)) in
+        if Budget.limited budget then begin
+          let stop = ref max_int in
+          (try
+             for a = 0 to k - 1 do
+               for c = a + 1 to k - 1 do
+                 let s = sz a + sz c in
+                 if s <= b && not (check s) then begin
+                   stop := (a * k) + c;
+                   raise Exit
+                 end
+               done
+             done
+           with Exit -> ());
+          !stop
+        end
+        else begin
+          let cap = min b n in
+          let at_most = Array.make (cap + 1) 0 in
+          for a = 0 to k - 1 do
+            at_most.(sz a) <- at_most.(sz a) + 1
+          done;
+          for s = 1 to cap do
+            at_most.(s) <- at_most.(s) + at_most.(s - 1)
+          done;
+          let total = ref 0 in
+          for a = 0 to k - 1 do
+            let s = sz a in
+            let room = min cap (b - s) in
+            if room >= 1 then
+              total := !total + (s * (at_most.(room) - if s <= room then 1 else 0))
+          done;
+          if !total > 0 then ignore (Budget.poll budget ~cost:!total);
+          max_int
+        end
+      in
+      let feasible ~stop a c =
+        size.(order.(a)) + size.(order.(c)) <= b && (a * !k) + c < stop
+      in
+      let merge_pass () =
+        let stop = charge_pass () in
+        let edges = ref [] in
+        for a = 0 to !k - 1 do
+          Hashtbl.iter
+            (fun z w ->
+              let c = pos.(z) in
+              if c > a && w > 0 && feasible ~stop a c then edges := (a, c, w) :: !edges)
+            adj.(order.(a))
         done;
-        match !best with
+        (* the matching breaks ties by edge order: reverse lexicographic,
+           as the pairwise scan built it *)
+        match List.sort (fun (a, c, _) (a', c', _) -> compare (a', c') (a, c)) !edges with
+        | [] -> false
+        | edges ->
+          let mate = Blossom.max_weight_matching ~n:!k edges in
+          let merged = ref [] and alone = ref [] in
+          for c = !k - 1 downto 0 do
+            if mate.(c) < 0 then alone := order.(c) :: !alone
+          done;
+          for c = !k - 1 downto 0 do
+            if mate.(c) > c then begin
+              merged := merge order.(c) order.(mate.(c)) :: !merged;
+              incr matched_pairs
+            end
+          done;
+          set_order (!merged @ !alone);
+          true
+      in
+      (* the heaviest feasible pair, lexicographically first on ties.
+         It runs only after [merge_pass] found no feasible pair of
+         positive weight before its stop (a budget that stopped that
+         pass refuses this one's first pair), so the heaviest weighs 0
+         unless every feasible pair is held below 0 by its quotient
+         edge: the first feasible pair that is not wins *)
+      let zero_merge () =
+        let stop = charge_pass () in
+        let min_size = ref max_int in
+        for a = 0 to !k - 1 do
+          min_size := min !min_size size.(order.(a))
+        done;
+        let weight a c = Option.value ~default:0 (Hashtbl.find_opt adj.(order.(a)) order.(c)) in
+        let rec scan a c =
+          if a >= !k - 1 then None
+          else if c >= !k || size.(order.(a)) + !min_size > b then scan (a + 1) (a + 2)
+          else if (a * !k) + c >= stop then None
+          else if feasible ~stop a c && weight a c >= 0 then Some (a, c)
+          else scan a (c + 1)
+        in
+        let pick =
+          match scan 0 1 with
+          | Some p -> Some p
+          | None ->
+            let best = ref None in
+            for a = 0 to !k - 1 do
+              Hashtbl.iter
+                (fun z w ->
+                  let c = pos.(z) in
+                  if c > a && feasible ~stop a c then
+                    match !best with
+                    | Some (bw, ba, bc) when bw > w || (bw = w && (ba, bc) < (a, c)) -> ()
+                    | Some _ | None -> best := Some (w, a, c))
+                adj.(order.(a))
+            done;
+            Option.map (fun (_, a, c) -> (a, c)) !best
+        in
+        match pick with
         | None -> false
-        | Some (_, a, c) ->
-          let out = ref [ List.merge compare arr.(a) arr.(c) ] in
-          Array.iteri (fun i members -> if i <> a && i <> c then out := members :: !out) arr;
-          clusters := List.rev !out;
+        | Some (a, c) ->
+          let rest = List.filter (fun h -> h <> order.(a) && h <> order.(c)) (live ()) in
+          set_order (merge order.(a) order.(c) :: rest);
           true
       in
       let dissolve_smallest () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
         let smallest = ref 0 in
-        for c = 1 to k - 1 do
-          if List.length arr.(c) < List.length arr.(!smallest) then smallest := c
+        for c = 1 to !k - 1 do
+          if size.(order.(c)) < size.(order.(!smallest)) then smallest := c
         done;
-        let rest =
-          Array.to_list (Array.mapi (fun i m -> (i, ref m)) arr)
-          |> List.filter (fun (i, _) -> i <> !smallest)
-          |> List.map snd
-        in
-        let spare () =
-          List.fold_left (fun acc m -> acc + (b - List.length !m)) 0 rest
-        in
-        if spare () < List.length arr.(!smallest) then false
+        let gone = order.(!smallest) in
+        let rest = List.filter (( <> ) gone) (live ()) in
+        let spare = List.fold_left (fun acc h -> acc + (b - size.(h))) 0 rest in
+        if spare < size.(gone) then false
         else begin
+          (* each task joins the cluster with room it is most attached
+             to, first on ties (the spare capacity leaves one for every
+             task); [cluster_of] follows the tasks already moved *)
+          let cluster_of = Array.make n gone in
+          List.iter (fun h -> List.iter (fun v -> cluster_of.(v) <- h) members.(h)) (live ());
+          let pull = Array.make handles 0 in
           List.iter
             (fun task ->
-              (* heaviest-affinity cluster with room *)
+              let nbrs = Ugraph.neighbors g task in
+              List.iter (fun (u, w) -> pull.(cluster_of.(u)) <- pull.(cluster_of.(u)) + w) nbrs;
               let best = ref None in
               List.iter
-                (fun m ->
-                  if List.length !m < b then begin
-                    let w = inter_weight g [ task ] !m in
+                (fun h ->
+                  if size.(h) < b then
                     match !best with
-                    | Some (bw, _) when bw >= w -> ()
-                    | Some _ | None -> best := Some (w, m)
-                  end)
+                    | Some (bw, _) when bw >= pull.(h) -> ()
+                    | Some _ | None -> best := Some (pull.(h), h))
                 rest;
+              List.iter (fun (u, _) -> pull.(cluster_of.(u)) <- 0) nbrs;
               match !best with
-              | Some (_, m) -> m := List.merge compare [ task ] !m
+              | Some (_, h) ->
+                members.(h) <- List.merge compare [ task ] members.(h);
+                size.(h) <- size.(h) + 1;
+                cluster_of.(task) <- h
               | None -> ())
-            arr.(!smallest);
-          clusters := List.map ( ! ) rest;
+            members.(gone);
+          members.(gone) <- [];
+          set_order rest;
+          build_quotient cluster_of;
           true
         end
       in
+      let exception Stuck in
       (* anytime path: when the budget dies mid-reduction, pack the
          current clusters into [procs] bins directly — first-fit
          decreasing, then dissolving whatever does not fit whole,
@@ -244,27 +354,24 @@ let contract ?b ?budget g ~procs =
                | [] -> None
                | members -> Some (List.sort compare members))
       in
+      let rec reduce () =
+        let current () = List.map (fun h -> members.(h)) (live ()) in
+        if !k <= procs then current ()
+        else if not (check !k) then force_pack (current ())
+        else if merge_pass () || zero_merge () || dissolve_smallest () then reduce ()
+        else raise Stuck
+      in
       let result =
-        try
-          while List.length !clusters > procs do
-            if not (check (List.length !clusters)) then
-              clusters := force_pack !clusters
-            else if not (merge_pass ()) then
-              if not (zero_merge ()) then
-                if not (dissolve_smallest ()) then raise Stuck
-          done;
-          Ok ()
+        try Ok (reduce ())
         with Stuck ->
           Error
             (Printf.sprintf "could not reduce to %d clusters under capacity %d" procs b)
       in
       match result with
       | Error e -> Error e
-      | Ok () ->
+      | Ok clusters ->
         (* renumber by smallest member *)
-        let sorted =
-          List.sort (fun a c -> compare (List.hd a) (List.hd c)) !clusters
-        in
+        let sorted = List.sort (fun a c -> compare (List.hd a) (List.hd c)) clusters in
         let clusters = Array.of_list sorted in
         let cluster_of = Array.make n (-1) in
         Array.iteri

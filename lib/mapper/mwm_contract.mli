@@ -9,7 +9,20 @@
       matching pass pairs tasks optimally;
     - otherwise a greedy pass (edges in non-increasing weight order)
       merges clusters up to [b/2] tasks until at most 2·[procs] remain,
-      then maximum-weight matching pairs the clusters optimally. *)
+      then maximum-weight matching pairs the clusters optimally.
+
+    When matching alone cannot reach [procs] clusters, the pairing
+    phase falls back to merging the heaviest capacity-feasible pair
+    (weight 0 allowed) and, as a last resort, to dissolving the
+    smallest cluster into the others' spare capacity.  Cluster-pair
+    weights live in a quotient graph built once from the edge list and
+    folded on each merge in O(degree of the absorbed cluster), so a
+    pass costs O(k + b + E_q log E_q) for k clusters and E_q quotient
+    edges, plus the matching, instead of visiting all O(k²) pairs.
+    Fuel is charged exactly as a scan of every capacity-feasible pair
+    would charge it: in one poll when the budget is unlimited, pair by
+    pair over the cluster sizes alone when it is limited, so a budget
+    dies at the same pair. *)
 
 type t = {
   cluster_of : int array;  (** task → dense cluster id *)

@@ -14,15 +14,15 @@ let default_directives m =
   |> List.filter (fun d -> d.order <> [])
 
 let outgoing_volume (m : Mapping.t) task =
-  let tg = m.Mapping.tg in
-  List.fold_left
-    (fun acc (cp : Taskgraph.comm_phase) ->
-      List.fold_left
-        (fun acc (v, w) ->
-          if Mapping.proc_of_task m v <> Mapping.proc_of_task m task then acc + w else acc)
-        acc
-        (Oregami_graph.Digraph.succ cp.Taskgraph.edges task))
-    0 tg.Taskgraph.comm_phases
+  let home = Mapping.proc_of_task m task in
+  let total = ref 0 in
+  List.iter
+    (fun (cp : Taskgraph.comm_phase) ->
+      Oregami_graph.Digraph.iter_succ
+        (fun v w -> if Mapping.proc_of_task m v <> home then total := !total + w)
+        cp.Taskgraph.edges task)
+    m.Mapping.tg.Taskgraph.comm_phases;
+  !total
 
 let synchronized_directives m =
   default_directives m

@@ -22,6 +22,15 @@ let test_digraph_basic () =
   Alcotest.(check int) "out degree" 2 (Digraph.out_degree g 0);
   Alcotest.(check int) "in degree" 1 (Digraph.in_degree g 2);
   Alcotest.(check (list (pair int int))) "succ order" [ (1, 3); (1, 2) ] (Digraph.succ g 0);
+  let collect iter u =
+    let seen = ref [] in
+    iter (fun v w -> seen := (v, w) :: !seen) g u;
+    List.sort compare !seen
+  in
+  Alcotest.(check (list (pair int int))) "iter_succ visits succ" [ (1, 2); (1, 3) ]
+    (collect Digraph.iter_succ 0);
+  Alcotest.(check (list (pair int int))) "iter_pred visits pred" [ (0, 2); (0, 3) ]
+    (collect Digraph.iter_pred 1);
   Alcotest.(check bool) "mem" true (Digraph.mem_edge g 1 2);
   Alcotest.(check bool) "not mem" false (Digraph.mem_edge g 2 1)
 

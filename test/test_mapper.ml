@@ -22,6 +22,8 @@ module Binomial_mesh = Oregami_mapper.Binomial_mesh
 module Brute = Oregami_matching.Brute
 module Rng = Oregami_prelude.Rng
 module Workloads = Oregami_workloads.Workloads
+module Synth = Oregami_workloads.Synth
+module Budget = Oregami_mapper.Budget
 
 (* ------------------------------------------------------------------ *)
 (* MWM-Contract                                                        *)
@@ -119,6 +121,100 @@ let test_mwm_infeasible () =
   match Mwm.contract ~b:2 g ~procs:3 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "infeasible instance accepted"
+
+(* The quotient-graph contraction against the pairwise oracle
+   (test/mwm_oracle.ml): same record, error text, fuel and truncations
+   on every case.  Synth graphs have unit or small weights, so ties are
+   everywhere; the random graphs add zero and negative weights. *)
+let mwm_caps = [| 50; 500; 3000; 20000 |]
+
+let static spec = Taskgraph.static_graph (Result.get_ok (Synth.build spec))
+
+let test_mwm_matches_oracle () =
+  let open Mwm_oracle in
+  branches.merges <- 0;
+  branches.zero_merges <- 0;
+  branches.dissolves <- 0;
+  branches.force_packs <- 0;
+  (* unlimited fuel and one cap per case, the cap rotating with n and
+     procs so every cap meets every size: the oracle is cubic, and the
+     full cross product would take seconds *)
+  let agree ?(procs = [ 1; 3; 4; 8; 16; 64 ]) name g =
+    let n = Ugraph.node_count g in
+    List.iter
+      (fun procs ->
+        List.iter
+          (fun b ->
+            List.iter
+              (fun fuel ->
+                match differ ?b ?fuel g ~procs with
+                | None -> ()
+                | Some d ->
+                  Alcotest.failf "%s procs=%d b=%s fuel=%s: %s" name procs
+                    (Option.fold ~none:"default" ~some:string_of_int b)
+                    (Option.fold ~none:"unlimited" ~some:string_of_int fuel)
+                    d)
+              [ None; Some mwm_caps.((n + procs) mod Array.length mwm_caps) ])
+          [ None; Some 4 ])
+      procs
+  in
+  let families ~rmat_seeds n =
+    List.map (fun f -> Printf.sprintf "synth:%s:%d" f n) [ "grid"; "ring"; "tree" ]
+    @ List.map (Printf.sprintf "synth:rmat:%d:%d" n) rmat_seeds
+  in
+  (* the two rmat seeds alternate over the exhaustive range *)
+  for n = 2 to 64 do
+    List.iter
+      (fun spec -> agree spec (static spec))
+      (families ~rmat_seeds:[ (if n mod 2 = 0 then 1 else 5) ] n)
+  done;
+  (* one processor leaves the most clusters to pair, which is where the
+     oracle's cost is worst: the exhaustive range above covers it *)
+  List.iter
+    (fun n ->
+      List.iter
+        (fun spec -> agree ~procs:[ 8; 64 ] spec (static spec))
+        (families ~rmat_seeds:[ 1; 5 ] n))
+    [ 100; 160; 220; 300 ];
+  (* odd graphs mix weights -3..8; even graphs are dense and all
+     negative, so the zero-cost merge must choose among negative pairs *)
+  let rng = Rng.create 16 in
+  for i = 1 to 40 do
+    let n = 2 + Rng.int rng 40 in
+    let g = Ugraph.create n in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if i mod 2 = 1 && Rng.int rng 4 = 0 then Ugraph.add_edge ~w:(Rng.int rng 12 - 3) g u v
+        else if i mod 2 = 0 && Rng.int rng 4 > 0 then
+          Ugraph.add_edge ~w:(-1 - Rng.int rng 3) g u v
+      done
+    done;
+    agree (Printf.sprintf "random #%d (n=%d)" i n) g
+  done;
+  List.iter
+    (fun (branch, count) ->
+      if count = 0 then Alcotest.failf "no case reached the %s branch" branch)
+    [
+      ("merge", branches.merges);
+      ("zero-merge", branches.zero_merges);
+      ("dissolve", branches.dissolves);
+      ("force-pack", branches.force_packs);
+    ]
+
+(* rmat 1000 on 64 processors: the pairwise scan allocated ~2.5 G minor
+   words here; the quotient graph keeps it under 40 M.  The fuel is the
+   oracle's, computed once (the oracle takes seconds on this input). *)
+let test_mwm_rmat1000_cost () =
+  let g = static "synth:rmat:1000:1" in
+  let budget = Budget.unlimited () in
+  let before = Gc.minor_words () in
+  let r = Mwm.contract ~budget g ~procs:64 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "contracted" true (Result.is_ok r);
+  if words > 40e6 then
+    Alcotest.failf "rmat 1000 contraction allocated %.1f M minor words (bound 40 M)"
+      (words /. 1e6);
+  Alcotest.(check int) "oracle fuel" 87222130 (Budget.fuel_used budget)
 
 (* ------------------------------------------------------------------ *)
 (* Group-theoretic contraction                                         *)
@@ -508,6 +604,9 @@ let () =
             test_mwm_identity_when_enough_procs;
           Alcotest.test_case "capacity respected" `Quick test_mwm_respects_capacity;
           Alcotest.test_case "infeasible rejected" `Quick test_mwm_infeasible;
+          Alcotest.test_case "quotient graph agrees with the pairwise oracle" `Quick
+            test_mwm_matches_oracle;
+          Alcotest.test_case "rmat 1000 allocation and fuel" `Quick test_mwm_rmat1000_cost;
         ] );
       ( "group_contract",
         [
